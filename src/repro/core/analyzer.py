@@ -44,16 +44,18 @@ from repro.errors import (
 from repro.ft.cutsets import CutSetList
 from repro.ft.mocus import MocusOptions, MocusResult, mocus
 from repro.ft.probability import rare_event_probability
-from repro.obs.core import NULL_OBS, Observability
+from repro.obs.core import Observability
+from repro.robust import faults
 from repro.robust.budget import Budget
 from repro.robust.health import HealthLog
 from repro.robust.verify import Verifier, resolve_mode
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Iterable
 
     from repro.core.classify import ClassificationReport
     from repro.core.cutset_model import CutsetModel
+    from repro.core.to_static import StaticTranslation
     from repro.ft.tree import FaultTree
     from repro.lint.engine import LintReport
     from repro.perf.cache import SolveCache
@@ -160,15 +162,16 @@ class AnalysisOptions:
     Parallelism (:mod:`repro.perf`):
 
     * ``jobs`` — worker processes for the quantification phase.  ``1``
-      (the default) keeps the serial in-process loop; ``"auto"`` uses
-      one worker per available CPU.  With more than one job the dynamic
-      cutsets are grouped by structural model signature, each *unique*
-      model is solved exactly once on a process pool
-      (largest-estimated-chain first), and the results are folded back
-      in deterministic cutset order — the analysis values are identical
-      to a serial run, only wall-clock changes.  A task that fails in a
-      worker is recovered by re-running its cutsets in the parent
-      through the usual degradation path.
+      (the default) solves every chain in-process; ``"auto"`` uses one
+      worker per available CPU.  With more than one job the dynamic
+      cutsets are grouped by structural model signature and each
+      *unique* model is solved exactly once on a process pool
+      (largest-estimated-chain first); the one quantification fold then
+      walks the cutsets in order and takes those values in place of
+      local solves — the analysis values are identical to a ``jobs=1``
+      run, only wall-clock changes.  A task that fails in a worker
+      leaves its cutsets to the fold's per-cutset path, which re-solves
+      them in the parent through the usual degradation path.
 
     Persistent caching (:mod:`repro.perf.cache`):
 
@@ -256,9 +259,33 @@ class AnalysisOptions:
     static_engine: str = "auto"
     bdd_node_budget: int = 200_000
 
+    def __post_init__(self) -> None:
+        """Reject invalid knob values before any work is done."""
+        from repro.perf.pool import resolve_jobs
 
-#: Valid ``AnalysisOptions.static_engine`` values.
-_STATIC_ENGINES = ("auto", "bdd", "mcs")
+        resolve_mode(self.verify)
+        resolve_jobs(self.jobs)
+        choices = (
+            ("static_engine", self.static_engine, ("auto", "bdd", "mcs")),
+            ("on_oversize", self.on_oversize, ("raise", "bounds")),
+            ("mc_engine", self.mc_engine, ("auto", "crude", "is", "splitting")),
+        )
+        for name, value, allowed in choices:
+            if value not in allowed:
+                raise ValueError(
+                    f"unknown {name} {value!r}; expected one of {allowed}"
+                )
+        ranges = (
+            ("cutoff", self.cutoff >= 0.0, ">= 0"),
+            ("epsilon", 0.0 < self.epsilon < 1.0, "in (0, 1)"),
+            ("mc_target_rel_error", self.mc_target_rel_error > 0.0, "> 0"),
+            ("monte_carlo_runs", self.monte_carlo_runs >= 1, ">= 1"),
+        )
+        for name, valid, expected in ranges:
+            if not valid:
+                raise ValueError(
+                    f"{name} must be {expected}, got {getattr(self, name)!r}"
+                )
 
 
 @dataclass
@@ -283,9 +310,8 @@ class AnalysisReuse:
     the search would return; see :mod:`repro.service.incremental`).
     ``solves`` — ``signature -> (probability, chain_states)`` entries
     priming the in-memory :class:`QuantificationCache`, so only cutsets
-    whose ``FT_C`` content fingerprint changed are re-solved.  Both the
-    serial loop and the process-pool path consult the primed store
-    before solving.
+    whose ``FT_C`` content fingerprint changed are re-solved.  Both
+    ``jobs`` settings consult the primed store before solving.
     ``records`` — ``cutset -> McsQuantification`` records the caller
     proved untouched by the edit (unchanged gate/trigger skeleton, no
     dirty event among the record's ``dependencies``).  They are served
@@ -297,8 +323,7 @@ class AnalysisReuse:
     --------------------------------------------
     ``out_translation`` / ``out_mocus`` / ``out_solves`` — the
     translation, the cutset result and the full solve store of the run
-    that just finished.  They stay ``None`` when the run was served
-    whole from the persistent records cache (nothing new was computed).
+    that just finished.
     """
 
     translation: "object | None" = None
@@ -309,6 +334,18 @@ class AnalysisReuse:
     out_translation: "object | None" = None
     out_mocus: "MocusResult | None" = None
     out_solves: "dict[tuple, tuple[float, int]] | None" = None
+
+
+def with_mocus_overrides(tree: "FaultTree", opts: AnalysisOptions) -> "FaultTree":
+    """The tree MOCUS searches: ``tree`` under ``mocus_probability_overrides``.
+
+    The paper's static cutoff — the cutset list is generated against the
+    overridden probabilities while quantification keeps the dynamic
+    chains (see :class:`AnalysisOptions`).
+    """
+    if not opts.mocus_probability_overrides:
+        return tree
+    return tree.with_probabilities(opts.mocus_probability_overrides)
 
 
 def analyze(
@@ -331,283 +368,239 @@ def analyze(
     records cache (the point is to run the pipeline and capture its
     artifacts), but never changes any computed value.
     """
-    opts = options or AnalysisOptions()
-    resolve_mode(opts.verify)
-    if opts.static_engine not in _STATIC_ENGINES:
-        raise ValueError(
-            f"unknown static_engine {opts.static_engine!r}; "
-            f"expected one of {_STATIC_ENGINES}"
-        )
-    obs = Observability.from_options(opts.trace_path, opts.collect_metrics)
-    budget = _make_budget(opts, obs)
-    health = HealthLog()
-    verifier = Verifier(
-        opts.verify,
-        health=health,
-        metrics=obs.metrics if obs.enabled else None,
-        # The per-chain truncation error compounds into every quantified
-        # value, so the float slack must dominate a coarse epsilon.
-        tolerance=max(1e-9, 100.0 * opts.epsilon),
-    )
-    lint_report = _preflight_lint(sdft, opts, obs, health)
-    sdft = _simplify_stage(sdft, opts, obs, health)
-    manager, resumed = _open_checkpoint(sdft, opts, health)
-    solve_cache = _open_solve_cache(opts)
-
-    with obs.tracer.span(
+    run = _Run.start(sdft, options or AnalysisOptions(), reuse)
+    _preflight_lint(run)
+    _simplify_stage(run)
+    _open_stores(run)
+    with run.obs.tracer.span(
         "analyze",
-        model=getattr(sdft, "name", None) or "",
-        horizon=opts.horizon,
-        cutoff=opts.cutoff,
-        jobs=str(opts.jobs),
+        model=getattr(run.sdft, "name", None) or "",
+        horizon=run.opts.horizon,
+        cutoff=run.opts.cutoff,
+        jobs=str(run.opts.jobs),
     ):
-        run_started = time.perf_counter()
-        warm = None
-        if reuse is None:
-            warm = _restore_cached_result(
-                sdft, opts, solve_cache, budget, manager, resumed, verifier, health
-            )
-        if warm is not None:
-            records, static_bound, cache, perf, served = warm
-            mcs_truncated = False
-            mcs_remainder = 0.0
-            record_sum = sum(
-                r.probability for r in records if r.probability > opts.cutoff
-            )
-            method = served.get("method", "mcs-rare-event")
-            total = float(served.get("total", record_sum))
-            bdd_info = served.get("bdd") or {}
-            if verifier.enabled:
-                with obs.tracer.span("verify", mode=verifier.mode):
-                    _verify_restored(
-                        records, total, record_sum, method, opts, verifier
-                    )
-                health.info("verify", verifier.summary())
-            timings = Timings(0.0, 0.0, time.perf_counter() - run_started)
-        else:
-            started = time.perf_counter()
-            with obs.tracer.span("translate"):
-                if reuse is not None and reuse.translation is not None:
-                    translation = reuse.translation
-                else:
-                    translation = to_static(sdft, opts.horizon)
-                mocus_tree = translation.tree
-                if opts.mocus_probability_overrides:
-                    mocus_tree = mocus_tree.with_probabilities(
-                        opts.mocus_probability_overrides
-                    )
-            translation_seconds = time.perf_counter() - started
+        _translate(run)
+        _cutsets(run)
+        _quantify(run)
+        _serve(run)
+        _verify(run)
+        _persist(run)
+    return _finish(run)
 
-            started = time.perf_counter()
-            with obs.tracer.span("mocus") as mocus_span:
-                if reuse is not None and reuse.cutsets is not None:
-                    # The session already produced (and vouches for) the
-                    # cutsets of this tree; skip the search entirely.
-                    mocus_result, restored_records = reuse.cutsets, {}
-                    health.info(
-                        "service", reuse.note or "cutsets supplied by session"
-                    )
-                else:
-                    mocus_result, restored_records = _generate_cutsets(
-                        mocus_tree,
-                        opts,
-                        budget,
-                        health,
-                        manager,
-                        resumed,
-                        obs,
-                        solve_cache,
-                    )
-                mocus_span.set(
-                    cutsets=len(mocus_result.cutsets),
-                    truncated=mocus_result.truncated,
-                )
-            if mocus_result.truncated:
-                health.budget(
-                    "mocus",
-                    f"cutset generation truncated after "
-                    f"{len(mocus_result.cutsets)} cutsets; un-enumerated mass "
-                    f"bounded by {mocus_result.remainder_bound:.3e}",
-                )
-            mcs_seconds = time.perf_counter() - started
 
-            started = time.perf_counter()
-            with obs.tracer.span("quantify") as quantify_span:
-                records, cache, perf = _quantify_cutsets(
-                    sdft,
-                    translation.tree,
-                    mocus_result,
-                    opts,
-                    budget,
-                    health,
-                    manager,
-                    restored_records,
-                    obs,
-                    verifier,
-                    solve_cache,
-                    primed=reuse.solves if reuse is not None else None,
-                    primed_records=(
-                        reuse.records if reuse is not None else None
-                    ),
-                )
-                quantify_span.set(
-                    records=len(records),
-                    dedup_hits=cache.hits,
-                    dedup_misses=cache.misses,
-                )
-            record_sum = sum(
-                r.probability for r in records if r.probability > opts.cutoff
-            )
-            total, method, bdd_info = _select_served_total(
-                sdft,
-                translation.tree,
-                records,
-                record_sum,
-                opts,
-                health,
-                obs,
-                solve_cache,
-            )
-            quantification_seconds = time.perf_counter() - started
+# ----------------------------------------------------------------------
+# The run context
+# ----------------------------------------------------------------------
 
-            if verifier.enabled:
-                _final_verification(
-                    sdft,
-                    mocus_tree,
-                    mocus_result,
-                    records,
-                    total,
-                    record_sum,
-                    method,
-                    opts,
-                    verifier,
-                    health,
-                    obs,
-                )
-                health.info("verify", verifier.summary())
 
-            static_bound, static_estimator = (
-                mocus_result.cutsets.sound_estimate()
-            )
-            if static_estimator != "rare-event":
-                health.info(
-                    "quantify",
-                    f"static worst-case rare-event sum overshoots 1.0; "
-                    f"min-cut upper bound {static_bound:.6e} reported",
-                )
-            # The quantified total can exceed the static MCUB (the
-            # records sum first-order); keep the bound a bound.
-            static_bound = max(static_bound, total)
-            mcs_truncated = mocus_result.truncated
-            mcs_remainder = mocus_result.remainder_bound
-            timings = Timings(
-                translation_seconds, mcs_seconds, quantification_seconds
-            )
-            _store_cached_result(
-                sdft,
-                opts,
-                solve_cache,
-                budget,
-                manager,
-                resumed,
-                mcs_truncated,
-                records,
-                static_bound,
-                cache,
-                perf,
-                health,
-                {
-                    "method": method,
-                    "total": total,
-                    "bdd": bdd_info,
-                },
-            )
-            if reuse is not None:
-                reuse.out_translation = translation
-                reuse.out_mocus = mocus_result
-                reuse.out_solves = dict(cache._store)
+@dataclass
+class _Run:
+    """One :func:`analyze` call: services fixed before the first stage,
+    then each stage's outputs."""
 
-    if solve_cache is not None:
-        health.info("cache", solve_cache.summary())
-        if obs.enabled:
-            for name, value in solve_cache.stats().items():
-                if value:
-                    obs.metrics.count(f"cache.{name}", value)
-        solve_cache.close()
+    sdft: SdFaultTree
+    opts: AnalysisOptions
+    reuse: "AnalysisReuse | None"
+    obs: Observability
+    budget: "Budget | None"
+    health: HealthLog
+    verifier: Verifier
+    manager: "CheckpointManager | None" = None
+    resumed: "dict | None" = None
+    solve_cache: "SolveCache | None" = None
+    #: The problem's content fingerprint (checkpoint and records keys).
+    fingerprint: str = ""
+    #: No budget and no checkpoint: the run may use the cutset and
+    #: records layers of the persistent cache.
+    unconstrained: bool = False
+    #: Fault injection is armed: every stage must run for real.
+    armed: bool = False
+    #: A decoded records-layer payload that answers this run.
+    stored: "dict | None" = None
+    lint: "LintReport | None" = None
+    translation: "StaticTranslation | None" = None
+    mocus_tree: "FaultTree | None" = None
+    mocus: "MocusResult | None" = None
+    cutsets: list = field(default_factory=list)
+    restored: dict = field(default_factory=dict)
+    classification: "ClassificationReport | None" = None
+    records: list = field(default_factory=list)
+    cache: QuantificationCache = field(default_factory=QuantificationCache)
+    perf: "PerfStats | None" = None
+    record_sum: float = 0.0
+    total: float = 0.0
+    method: str = "mcs-rare-event"
+    bdd_info: dict = field(default_factory=dict)
+    static_bound: float = 0.0
+    #: Wall seconds of translate, cutset generation and quantification.
+    seconds: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
 
-    if obs.enabled:
-        # The dedup counters come from the shared cache totals (not the
-        # per-lookup call sites), which is what keeps them identical
-        # across jobs=1/N — the same property PerfStats relies on.
-        obs.metrics.count("quantify.dedup_hits", cache.hits)
-        obs.metrics.count("quantify.dedup_misses", cache.misses)
-    metrics_snapshot = obs.metrics.snapshot() if obs.enabled else None
-    if opts.trace_path:
-        from repro.obs.export import write_trace
-
-        n_lines = write_trace(
-            opts.trace_path,
-            obs.tracer.records(),
-            metrics_snapshot,
-            attrs={
-                "model": getattr(sdft, "name", None) or "",
-                "horizon": opts.horizon,
-                "cutoff": opts.cutoff,
-                "jobs": str(opts.jobs),
-            },
+    @classmethod
+    def start(
+        cls,
+        sdft: SdFaultTree,
+        opts: AnalysisOptions,
+        reuse: "AnalysisReuse | None",
+    ) -> "_Run":
+        obs = Observability.from_options(opts.trace_path, opts.collect_metrics)
+        health = HealthLog()
+        verifier = Verifier(
+            opts.verify,
+            health=health,
+            metrics=obs.metrics if obs.enabled else None,
+            # The per-chain truncation error compounds into every
+            # quantified value, so the float slack must dominate a
+            # coarse epsilon.
+            tolerance=max(1e-9, 100.0 * opts.epsilon),
         )
-        health.info(
-            "obs", f"trace written to {opts.trace_path} ({n_lines} lines)"
+        # A cooperative budget only when some axis is limited.
+        limits = (opts.wall_seconds, opts.max_total_states, opts.budget_cutsets)
+        budget = None
+        if any(limit is not None for limit in limits):
+            budget = Budget(*limits, metrics=obs.metrics)
+        return cls(sdft, opts, reuse, obs, budget, health, verifier)
+
+    @property
+    def truncated(self) -> bool:
+        return self.mocus is not None and self.mocus.truncated
+
+    @property
+    def remainder(self) -> float:
+        return self.mocus.remainder_bound if self.mocus is not None else 0.0
+
+
+def _open_stores(run: _Run) -> None:
+    """Open the checkpoint (with its resume payload) and the disk cache.
+
+    Runs after simplification, so both fingerprint the model actually
+    analysed.  The records-layer lookup happens here too: a hit decides
+    whether the translate stage has any work to do.
+    """
+    from repro.robust.checkpoint import CheckpointManager, model_fingerprint
+
+    opts = run.opts
+    if opts.checkpoint_path or opts.cache_dir:
+        run.fingerprint = model_fingerprint(run.sdft, opts.horizon, opts.cutoff)
+    if opts.checkpoint_path:
+        run.manager = CheckpointManager(
+            opts.checkpoint_path,
+            run.fingerprint,
+            opts.checkpoint_interval_seconds,
         )
+        if opts.resume:
+            run.resumed = run.manager.load()
+            if run.resumed is not None:
+                run.health.info(
+                    "checkpoint",
+                    f"resumed from {opts.checkpoint_path} "
+                    f"(phase {run.resumed['phase']!r})",
+                )
+    if opts.cache_dir:
+        from repro.perf.cache import SolveCache
 
-    if manager is not None:
-        manager.clear()
+        run.solve_cache = SolveCache(opts.cache_dir)
+    run.unconstrained = run.budget is None and run.manager is None
+    run.armed = faults.any_armed()
+    if (
+        run.solve_cache is not None
+        and run.unconstrained
+        and not run.armed
+        and run.reuse is None
+        and opts.verify != "full"
+    ):
+        run.stored = _load_stored(run)
 
-    return AnalysisResult(
-        failure_probability=total,
-        static_bound=static_bound,
-        horizon=opts.horizon,
-        cutoff=opts.cutoff,
-        records=tuple(records),
-        timings=timings,
-        classification=classification_report(sdft),
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
-        health=health.freeze(),
-        mcs_truncated=mcs_truncated,
-        mcs_remainder_bound=mcs_remainder,
-        perf=perf,
-        metrics=metrics_snapshot,
-        lint=lint_report,
-        method=method,
-        rare_event_sum=record_sum,
-        bdd_nodes=int(bdd_info.get("nodes", 0)),
-        bdd_ordering=str(bdd_info.get("ordering", "")),
-        bdd_modules=int(bdd_info.get("modules", 0)),
+
+def _load_stored(run: _Run) -> "dict | None":
+    """The decoded records-layer payload of this run, or ``None``.
+
+    The values are not trusted here: every record passes the fold's per-record
+    guards and the served total the run-scope ones, as fresh work does.
+    """
+    from repro.robust.checkpoint import record_from_dict
+
+    payload = run.solve_cache.get_records(
+        run.fingerprint, _records_options_key(run.opts)
+    )
+    if payload is None:
+        return None
+    try:
+        dedup = payload.get("dedup", {})
+        stored = {
+            "records": [record_from_dict(raw) for raw in payload["records"]],
+            "static_bound": float(payload["static_bound"]),
+            "hits": int(dedup.get("hits", 0)),
+            "misses": int(dedup.get("misses", 0)),
+            # A BDD total is the one served value the records cannot
+            # reproduce; any other method is re-derived from them.
+            "bdd": None,
+        }
+        if payload.get("method") == "bdd-exact":
+            stored["bdd"] = float(payload["total"]), dict(payload["bdd"])
+    except (KeyError, TypeError, ValueError):
+        # A malformed payload is a miss, never a failed analysis.
+        run.solve_cache.errors += 1
+        return None
+    run.health.info(
+        "cache",
+        f"full-result hit: {len(stored['records'])} records restored "
+        f"(mocus and solves skipped)",
+    )
+    return stored
+
+
+def _records_options_key(opts: AnalysisOptions) -> tuple:
+    """Everything value-affecting beyond the model/horizon/cutoff.
+
+    ``jobs``, tracing, verification mode and checkpoint knobs are
+    deliberately absent: the determinism contract says they never change
+    analysis values, so a result computed under any of them answers all
+    of them.  (Budgeted or checkpointed runs are not *stored* at all —
+    see :func:`_persist`.)
+    """
+    overrides = None
+    if opts.mocus_probability_overrides:
+        overrides = tuple(
+            sorted(
+                (name, repr(value))
+                for name, value in opts.mocus_probability_overrides.items()
+            )
+        )
+    return (
+        repr(opts.epsilon),
+        opts.max_chain_states,
+        opts.max_partials,
+        opts.on_oversize,
+        opts.lump_chains,
+        overrides,
+        opts.fault_isolation,
+        opts.monte_carlo_runs,
+        opts.monte_carlo_seed,
+        repr(opts.mc_target_rel_error),
+        opts.mc_engine,
+        opts.static_engine,
+        opts.bdd_node_budget,
+        opts.simplify,
     )
 
 
 # ----------------------------------------------------------------------
-# Resilient-pipeline helpers
+# Stages, in pipeline order
 # ----------------------------------------------------------------------
 
 
-def _preflight_lint(
-    sdft: SdFaultTree,
-    opts: AnalysisOptions,
-    obs: Observability,
-    health: HealthLog,
-) -> "LintReport | None":
+def _preflight_lint(run: _Run) -> None:
     """Run the model linter before the pipeline (``opts.lint``).
 
     Error-level findings reject the model with
     :class:`~repro.errors.LintError` before translate/MOCUS/quantify do
     any work — the trace (when requested) is still written, containing
     the ``lint`` span and *no* phase spans.  Warnings become run-health
-    notes and the report is returned to ride on the result.
+    notes and the report rides on the result.
     """
+    opts, obs, sdft = run.opts, run.obs, run.sdft
     if not opts.lint:
-        return None
+        return
     from repro.errors import LintError
     from repro.lint import LintConfig
     from repro.lint import lint as run_lint
@@ -625,24 +618,12 @@ def _preflight_lint(
             infos=counts["info"],
         )
     for finding in report.warnings:
-        health.info(
+        run.health.info(
             "lint", f"{finding.code} {finding.node}: {finding.message}"
         )
     if report.has_errors:
         if opts.trace_path:
-            from repro.obs.export import write_trace
-
-            write_trace(
-                opts.trace_path,
-                obs.tracer.records(),
-                obs.metrics.snapshot() if obs.enabled else None,
-                attrs={
-                    "model": getattr(sdft, "name", None) or "",
-                    "horizon": opts.horizon,
-                    "cutoff": opts.cutoff,
-                    "rejected_by_lint": True,
-                },
-            )
+            _write_trace(run, rejected_by_lint=True)
         details = "; ".join(
             f"{d.code} {d.node}: {d.message}" for d in report.errors
         )
@@ -651,280 +632,10 @@ def _preflight_lint(
             f"diagnostic(s): {details}",
             report=report,
         )
-    return report
+    run.lint = report
 
 
-def _is_static(sdft: SdFaultTree) -> bool:
-    """Whether the model is a plain static tree (no chains, no triggers)."""
-    return not sdft.dynamic_events and not sdft.triggers
-
-
-def _select_served_total(
-    sdft: SdFaultTree,
-    static_tree: "FaultTree",
-    records: "list[McsQuantification]",
-    record_sum: float,
-    opts: AnalysisOptions,
-    health: HealthLog,
-    obs: Observability,
-    solve_cache: "SolveCache | None",
-) -> tuple[float, str, dict]:
-    """The served top probability, its method label, and BDD stats.
-
-    The static-engine selection of the tentpole: a static model under
-    ``static_engine`` "auto" or "bdd" quantifies exactly via the
-    module-wise BDD compilation of :mod:`repro.bdd.quantify`
-    (consulting the persistent bdd cache layer first); the node budget
-    tripping falls back — with a health note — to the cutset path.  The
-    cutset path serves the rare-event record sum while it is a
-    probability and the min-cut upper bound over the record values once
-    the sum overshoots 1.0, labelling which estimator answered.
-    """
-    bdd_info: dict = {}
-    if opts.static_engine != "mcs" and _is_static(sdft):
-        try:
-            quantification = _bdd_quantification(
-                static_tree, opts, health, obs, solve_cache
-            )
-        except BddBudgetExceeded as error:
-            health.info(
-                "bdd",
-                f"static BDD engine abandoned ({error}); falling back to "
-                f"cutset quantification",
-            )
-            if obs.enabled:
-                obs.metrics.count("bdd.budget_trips")
-        else:
-            return quantification
-    if record_sum > 1.0:
-        mcub = _record_min_cut_upper_bound(records, opts.cutoff)
-        health.info(
-            "quantify",
-            f"rare-event sum {record_sum:.6e} overshoots 1.0; serving the "
-            f"min-cut upper bound {mcub:.6e} instead (method mcs-min-cut-ub)",
-        )
-        return mcub, "mcs-min-cut-ub", bdd_info
-    return record_sum, "mcs-rare-event", bdd_info
-
-
-def _bdd_quantification(
-    static_tree: "FaultTree",
-    opts: AnalysisOptions,
-    health: HealthLog,
-    obs: Observability,
-    solve_cache: "SolveCache | None",
-) -> tuple[float, str, dict]:
-    """One exact BDD quantification (cache-aware), as a served total."""
-    from repro.bdd.quantify import quantify_static_tree
-    from repro.robust import faults
-
-    digest = None
-    if solve_cache is not None:
-        from repro.perf.cache import tree_digest
-
-        digest = tree_digest(static_tree)
-        if not faults.any_armed():
-            warm = solve_cache.get_bdd(digest, opts.bdd_node_budget, "auto")
-            if warm is not None:
-                probability, node_count, ordering, n_modules = warm
-                health.info(
-                    "bdd",
-                    f"exact static quantification restored from cache "
-                    f"({node_count} nodes, order {ordering})",
-                )
-                info = {
-                    "nodes": node_count,
-                    "ordering": ordering,
-                    "modules": n_modules,
-                }
-                _observe_bdd(obs, node_count, ordering)
-                return probability, "bdd-exact", info
-    with obs.tracer.span("bdd", events=len(static_tree.events)) as span:
-        quantification = quantify_static_tree(
-            static_tree, node_budget=opts.bdd_node_budget
-        )
-        span.set(
-            nodes=quantification.node_count,
-            ordering=quantification.ordering,
-            modules=quantification.n_modules,
-        )
-    if digest is not None:
-        solve_cache.put_bdd(
-            digest,
-            opts.bdd_node_budget,
-            "auto",
-            quantification.probability,
-            quantification.node_count,
-            quantification.ordering,
-            quantification.n_modules,
-        )
-    health.info(
-        "bdd",
-        f"static engine: exact BDD quantification "
-        f"({quantification.node_count} nodes, order "
-        f"{quantification.ordering}, {quantification.n_modules} modules)",
-    )
-    _observe_bdd(obs, quantification.node_count, quantification.ordering)
-    info = {
-        "nodes": quantification.node_count,
-        "ordering": quantification.ordering,
-        "modules": quantification.n_modules,
-    }
-    return quantification.probability, "bdd-exact", info
-
-
-def _observe_bdd(obs: Observability, node_count: int, ordering: str) -> None:
-    """Record the ``bdd.*`` metrics of one exact quantification."""
-    if obs.enabled:
-        obs.metrics.observe("bdd.nodes", node_count)
-        obs.metrics.count(f"bdd.order.{ordering}")
-
-
-def _record_min_cut_upper_bound(
-    records: "list[McsQuantification]", cutoff: float
-) -> float:
-    """The MCUB ``1 - prod(1 - p̃(C))`` over the quantified records.
-
-    The sound substitute served when the rare-event sum overshoots 1.0:
-    still an upper bound for coherent trees (each ``p̃(C)`` is the
-    probability of *some* failing scenario set, and the product bounds
-    the probability that none occurs as if they were independent), and
-    by construction never above 1.  Uses ``log1p`` to stay accurate when
-    the per-record probabilities are small but numerous.
-    """
-    import math
-
-    log_complement = 0.0
-    for record in records:
-        p = record.probability
-        if p <= cutoff:
-            continue
-        if p >= 1.0:
-            return 1.0
-        log_complement += math.log1p(-p)
-    return -math.expm1(log_complement)
-
-
-def _final_verification(
-    sdft: SdFaultTree,
-    mocus_tree: "FaultTree",
-    mocus_result: MocusResult,
-    records: "list[McsQuantification]",
-    total: float,
-    record_sum: float,
-    method: str,
-    opts: AnalysisOptions,
-    verifier: Verifier,
-    health: HealthLog,
-    obs: Observability,
-) -> None:
-    """End-of-quantification invariant checks (P1/P3 at run scope).
-
-    The *served* total must be a genuine probability (P1 now rejects any
-    value above 1.0 — the rare-event overshoot can no longer be served);
-    the raw record sum is checked only for finiteness/sign, since it
-    legitimately exceeds one.  The interval check mirrors
-    :func:`repro.core.results.served_interval` so the pipeline verifies
-    exactly the bracket it later reports.  In ``full`` mode the
-    differential cross-checks run too.  Raises
-    :class:`~repro.errors.InvariantViolation` on failure: a run-scope
-    violation means the whole result is suspect, so no degradation path
-    applies.
-    """
-    with obs.tracer.span("verify", mode=verifier.mode):
-        verifier.check_value(
-            mocus_result.remainder_bound, "MOCUS remainder bound"
-        )
-        verifier.check_value(record_sum, "rare-event record sum")
-        verifier.check_probability(
-            total, f"served failure probability ({method})"
-        )
-        lower, upper = served_interval(
-            records, total, method, opts.cutoff, mocus_result.remainder_bound
-        )
-        verifier.check_interval(
-            lower,
-            total,
-            upper,
-            "failure probability interval",
-        )
-        if verifier.full:
-            from repro.robust.crosscheck import run_crosschecks
-
-            run_crosschecks(
-                sdft,
-                mocus_tree,
-                mocus_result,
-                records,
-                opts,
-                health,
-                metrics=obs.metrics if obs.enabled else None,
-            )
-
-
-def _make_budget(
-    opts: AnalysisOptions, obs: Observability | None = None
-) -> "Budget | None":
-    """A cooperative budget, or ``None`` when every axis is unlimited."""
-    if (
-        opts.wall_seconds is None
-        and opts.max_total_states is None
-        and opts.budget_cutsets is None
-    ):
-        return None
-    return Budget(
-        wall_seconds=opts.wall_seconds,
-        max_total_states=opts.max_total_states,
-        max_cutsets=opts.budget_cutsets,
-        metrics=obs.metrics if obs is not None else None,
-    )
-
-
-def _open_checkpoint(
-    sdft: SdFaultTree, opts: AnalysisOptions, health: HealthLog
-) -> "tuple[CheckpointManager | None, dict | None]":
-    """The run's checkpoint manager and, when resuming, its snapshot."""
-    if not opts.checkpoint_path:
-        return None, None
-    from repro.robust.checkpoint import CheckpointManager, model_fingerprint
-
-    manager = CheckpointManager(
-        opts.checkpoint_path,
-        model_fingerprint(sdft, opts.horizon, opts.cutoff),
-        opts.checkpoint_interval_seconds,
-    )
-    payload = None
-    if opts.resume:
-        payload = manager.load()
-        if payload is not None:
-            health.info(
-                "checkpoint",
-                f"resumed from {opts.checkpoint_path} "
-                f"(phase {payload['phase']!r})",
-            )
-    return manager, payload
-
-
-# ----------------------------------------------------------------------
-# Persistent-cache helpers (repro.perf.cache)
-# ----------------------------------------------------------------------
-
-
-def _open_solve_cache(opts: AnalysisOptions) -> "SolveCache | None":
-    """The run's :class:`~repro.perf.cache.SolveCache`, or ``None``."""
-    if not opts.cache_dir:
-        return None
-    from repro.perf.cache import SolveCache
-
-    return SolveCache(opts.cache_dir)
-
-
-def _simplify_stage(
-    sdft: SdFaultTree,
-    opts: AnalysisOptions,
-    obs: Observability,
-    health: HealthLog,
-) -> SdFaultTree:
+def _simplify_stage(run: _Run) -> None:
     """Shrink the model through the verified rewrite engine (``opts.simplify``).
 
     Runs after the pre-flight lint (findings should name the user's
@@ -935,14 +646,15 @@ def _simplify_stage(
     whatever comes back is equivalent to the input on the top scope and
     every trigger-gate scope.
     """
-    if not opts.simplify:
-        return sdft
+    if not run.opts.simplify:
+        return
     from repro.sem import simplify as run_simplify
 
+    obs, health = run.obs, run.health
     with obs.tracer.span(
-        "simplify", model=getattr(sdft, "name", None) or ""
+        "simplify", model=getattr(run.sdft, "name", None) or ""
     ) as span:
-        result = run_simplify(sdft, node_budget=opts.bdd_node_budget)
+        result = run_simplify(run.sdft, node_budget=run.opts.bdd_node_budget)
         span.set(
             rewrites=len(result.rewrites),
             gates_before=result.gates_before,
@@ -971,213 +683,78 @@ def _simplify_stage(
             "BDD node budget tripped during verification; unverified "
             "rewrites were discarded",
         )
-    model = result.model
-    assert isinstance(model, SdFaultTree)
-    return model
+    assert isinstance(result.model, SdFaultTree)
+    run.sdft = result.model
 
 
-def _records_options_key(opts: AnalysisOptions) -> tuple:
-    """Everything value-affecting beyond the model/horizon/cutoff.
+def _translate(run: _Run) -> None:
+    """Build ``FT̄`` with worst-case probabilities for the dynamic events.
 
-    ``jobs``, tracing, verification mode and checkpoint knobs are
-    deliberately absent: the determinism contract says they never change
-    analysis values, so a result computed under any of them answers all
-    of them.  (Budgeted, checkpointed or resumed runs are not *stored*
-    at all — see :func:`_store_cached_result`.)
+    A records-layer hit needs the translation only for the per-record
+    worst-case dominance guard (P4), so an unverified hit skips it.
     """
-    overrides = None
-    if opts.mocus_probability_overrides:
-        overrides = tuple(
-            sorted(
-                (name, repr(value))
-                for name, value in opts.mocus_probability_overrides.items()
-            )
-        )
-    return (
-        repr(opts.epsilon),
-        opts.max_chain_states,
-        opts.max_partials,
-        opts.on_oversize,
-        opts.lump_chains,
-        overrides,
-        opts.fault_isolation,
-        opts.monte_carlo_runs,
-        opts.monte_carlo_seed,
-        repr(opts.mc_target_rel_error),
-        opts.mc_engine,
-        opts.static_engine,
-        opts.bdd_node_budget,
-        opts.simplify,
-    )
-
-
-def _restore_cached_result(
-    sdft: SdFaultTree,
-    opts: AnalysisOptions,
-    solve_cache: "SolveCache | None",
-    budget: "Budget | None",
-    manager: "CheckpointManager | None",
-    resumed: dict | None,
-    verifier: Verifier,
-    health: HealthLog,
-) -> (
-    "tuple[list[McsQuantification], float, QuantificationCache, PerfStats, dict]"
-    " | None"
-):
-    """Serve the whole run from the records layer, when safe.
-
-    Only unconstrained runs qualify: a budget, a checkpoint manager or
-    a resume snapshot each carry semantics (partial results, phase
-    bookkeeping) a restored record list cannot honour, ``full``
-    verification needs the live pipeline for its differential
-    cross-checks, and an armed fault campaign must exercise the real
-    stages.  Returns ``(records, static_bound, cache, perf, served)`` or
-    ``None`` — ``served`` carries the stored method label, served total
-    and BDD stats of the original run.
-    """
-    from repro.robust import faults
-
-    if (
-        solve_cache is None
-        or budget is not None
-        or manager is not None
-        or resumed is not None
-        or opts.verify == "full"
-        or faults.any_armed()
-    ):
-        return None
-    from repro.perf.pool import resolve_jobs
-    from repro.robust.checkpoint import model_fingerprint, record_from_dict
-
-    fingerprint = model_fingerprint(sdft, opts.horizon, opts.cutoff)
-    payload = solve_cache.get_records(fingerprint, _records_options_key(opts))
-    if payload is None:
-        return None
-    try:
-        records = [record_from_dict(raw) for raw in payload["records"]]
-        static_bound = float(payload["static_bound"])
-        dedup = payload.get("dedup", {})
-        cache = QuantificationCache()
-        cache.hits = int(dedup.get("hits", 0))
-        cache.misses = int(dedup.get("misses", 0))
-        perf = PerfStats(
-            jobs=resolve_jobs(opts.jobs),
-            dynamic_solves=int(dedup.get("dynamic_solves", 0)),
-            unique_models_solved=int(dedup.get("unique_models_solved", 0)),
-            dedup_ratio=float(dedup.get("dedup_ratio", 0.0)),
-            worker_faults=0,
-        )
-        method = str(payload.get("method", "mcs-rare-event"))
-        if method not in ("bdd-exact", "mcs-rare-event", "mcs-min-cut-ub"):
-            raise ValueError(f"unknown stored method {method!r}")
-        served = {
-            "method": method,
-            "bdd": dict(payload.get("bdd") or {}),
-        }
-        if "total" in payload:
-            served["total"] = float(payload["total"])
-    except (KeyError, TypeError, ValueError):
-        # A malformed payload is a miss, never a failed analysis.
-        solve_cache.errors += 1
-        return None
-    health.info(
-        "cache",
-        f"full-result hit: {len(records)} records restored "
-        f"(translate/mocus/quantify skipped)",
-    )
-    return records, static_bound, cache, perf, served
-
-
-def _verify_restored(
-    records: "list[McsQuantification]",
-    total: float,
-    record_sum: float,
-    method: str,
-    opts: AnalysisOptions,
-    verifier: Verifier,
-) -> None:
-    """Run-scope invariants (P1/P3) over a cache-restored record set.
-
-    Restored runs were stored clean and non-truncated, so the remainder
-    bound is zero and the per-record dominance check already passed when
-    the records were produced; what must hold *now* is that the restored
-    numbers still form a sound bracket — a rotted payload fails here.
-    """
-    verifier.check_value(record_sum, "rare-event record sum")
-    verifier.check_probability(
-        total, f"served failure probability ({method})"
-    )
-    lower, upper = served_interval(records, total, method, opts.cutoff, 0.0)
-    verifier.check_interval(lower, total, upper, "failure probability interval")
-
-
-def _store_cached_result(
-    sdft: SdFaultTree,
-    opts: AnalysisOptions,
-    solve_cache: "SolveCache | None",
-    budget: "Budget | None",
-    manager: "CheckpointManager | None",
-    resumed: dict | None,
-    truncated: bool,
-    records: "list[McsQuantification]",
-    static_bound: float,
-    cache: QuantificationCache,
-    perf: "PerfStats",
-    health: HealthLog,
-    served: dict,
-) -> None:
-    """Persist a clean run's full record set to the records layer.
-
-    Only a pristine run is stored: unbudgeted, uncheckpointed, not
-    resumed, not truncated, and with a clean health report (no
-    degradations, retries or warnings — a degraded record set would be
-    served to later runs that might not degrade at all).  Fault-armed
-    processes never write (enforced again inside the cache).
-    """
-    if (
-        solve_cache is None
-        or budget is not None
-        or manager is not None
-        or resumed is not None
-        or truncated
-        or not health.freeze().is_clean
-    ):
+    if run.stored is not None and not run.verifier.enabled:
         return
-    from repro.robust.checkpoint import model_fingerprint, record_to_dict
+    started = time.perf_counter()
+    with run.obs.tracer.span("translate"):
+        if run.reuse is not None and run.reuse.translation is not None:
+            run.translation = run.reuse.translation
+        else:
+            run.translation = to_static(run.sdft, run.opts.horizon)
+        run.mocus_tree = with_mocus_overrides(run.translation.tree, run.opts)
+    run.seconds[0] = time.perf_counter() - started
 
-    fingerprint = model_fingerprint(sdft, opts.horizon, opts.cutoff)
-    solve_cache.put_records(
-        fingerprint,
-        _records_options_key(opts),
-        {
-            "records": [record_to_dict(r) for r in records],
-            "static_bound": static_bound,
-            "dedup": {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "dynamic_solves": perf.dynamic_solves,
-                "unique_models_solved": perf.unique_models_solved,
-                "dedup_ratio": perf.dedup_ratio,
-            },
-            **served,
-        },
+
+def _cutsets(run: _Run) -> None:
+    """Fix the cutset list and build the one restore map.
+
+    Earlier records — a records-layer hit, the session's untouched
+    records, a quantify-phase checkpoint's (which win: they belong to
+    this run's frame) — all reach the fold through
+    :meth:`_QuantifyContext.checked`.
+    """
+    from repro.robust.checkpoint import record_from_dict
+
+    started = time.perf_counter()
+    restored: dict = {}
+    if run.stored is not None:
+        run.cutsets = [record.cutset for record in run.stored["records"]]
+        restored.update(zip(run.cutsets, run.stored["records"]))
+    else:
+        with run.obs.tracer.span("mocus") as span:
+            run.mocus = _search(run)
+            span.set(
+                cutsets=len(run.mocus.cutsets), truncated=run.mocus.truncated
+            )
+        run.cutsets = list(run.mocus.cutsets)
+        if run.mocus.truncated:
+            run.health.budget(
+                "mocus",
+                f"cutset generation truncated after {len(run.cutsets)} "
+                f"cutsets; un-enumerated mass bounded by "
+                f"{run.mocus.remainder_bound:.3e}",
+            )
+    if run.reuse is not None and run.reuse.records:
+        restored.update(run.reuse.records)
+    if run.resumed is not None and run.resumed["phase"] == "quantify":
+        checkpointed = map(record_from_dict, run.resumed["state"]["records"])
+        restored.update((record.cutset, record) for record in checkpointed)
+    run.restored = restored
+    run.seconds[1] = time.perf_counter() - started
+
+
+def _cutset_list(tree: "FaultTree", names: "Iterable") -> CutSetList:
+    """A minimal :class:`CutSetList` over ``tree``'s event probabilities."""
+    probabilities = {
+        name: event.probability for name, event in tree.events.items()
+    }
+    return CutSetList.from_cutsets(
+        [frozenset(cutset) for cutset in names], probabilities, minimal=True
     )
 
 
-def _generate_cutsets(
-    mocus_tree: "FaultTree",
-    opts: AnalysisOptions,
-    budget: "Budget | None",
-    health: HealthLog,
-    manager: "CheckpointManager | None",
-    resumed: dict | None,
-    obs: Observability = NULL_OBS,
-    solve_cache: "SolveCache | None" = None,
-) -> "tuple[MocusResult, dict]":
+def _search(run: _Run) -> MocusResult:
     """Run (or restore) cutset generation, surviving budget exhaustion.
-
-    Returns the MOCUS result plus the quantification records restored
-    from a quantify-phase checkpoint (empty when not resuming).
 
     With a persistent cache, an unconstrained run first consults the
     MOCUS layer: the cache stores the *pre-truncation* minimal cutsets
@@ -1186,62 +763,42 @@ def _generate_cutsets(
     warm list is element-for-element what this process's own search
     would have produced.
     """
-    if resumed is not None and resumed["phase"] == "quantify":
-        from repro.robust.checkpoint import record_from_dict
-
+    opts, tree, manager, resumed = (
+        run.opts, run.mocus_tree, run.manager, run.resumed
+    )
+    phase = resumed["phase"] if resumed is not None else None
+    if run.reuse is not None and run.reuse.cutsets is not None:
+        # The session already produced (and vouches for) the cutsets of
+        # this tree; skip the search entirely.
+        run.health.info("service", run.reuse.note or "cutsets supplied by session")
+        return run.reuse.cutsets
+    if phase == "quantify":
         state = resumed["state"]
-        probabilities = {
-            name: event.probability for name, event in mocus_tree.events.items()
-        }
-        cutsets = CutSetList.from_cutsets(
-            [frozenset(names) for names in state["cutsets"]],
-            probabilities,
-            minimal=True,
-        )
-        restored = {
-            record.cutset: record
-            for record in map(record_from_dict, state["records"])
-        }
-        result = MocusResult(
-            cutsets,
+        return MocusResult(
+            _cutset_list(tree, state["cutsets"]),
             truncated=state.get("mcs_truncated", False),
             remainder_bound=state.get("mcs_remainder_bound", 0.0),
         )
-        return result, restored
 
     digest = None
-    unconstrained = budget is None and manager is None and resumed is None
-    if solve_cache is not None and unconstrained:
+    if run.solve_cache is not None and run.unconstrained:
         from repro.perf.cache import tree_digest
-        from repro.robust import faults
 
-        digest = tree_digest(mocus_tree)
-        if not faults.any_armed():
-            names = solve_cache.get_mocus(
+        digest = tree_digest(tree)
+        names = None
+        if not run.armed:
+            names = run.solve_cache.get_mocus(
                 digest, opts.cutoff, opts.max_partials
             )
-            if names is not None:
-                probabilities = {
-                    name: event.probability
-                    for name, event in mocus_tree.events.items()
-                }
-                cutsets = CutSetList.from_cutsets(
-                    [frozenset(cutset) for cutset in names],
-                    probabilities,
-                    minimal=True,
-                )
-                if opts.cutoff > 0.0:
-                    cutsets = cutsets.truncate(opts.cutoff)
-                health.info(
-                    "cache",
-                    f"mocus: {len(cutsets)} cutsets restored "
-                    f"(search skipped)",
-                )
-                return MocusResult(cutsets), {}
+        if names is not None:
+            cutsets = _cutset_list(tree, names)
+            if opts.cutoff > 0.0:
+                cutsets = cutsets.truncate(opts.cutoff)
+            run.health.info(
+                "cache", f"mocus: {len(cutsets)} cutsets restored (search skipped)"
+            )
+            return MocusResult(cutsets)
 
-    mocus_resume = None
-    if resumed is not None and resumed["phase"] == "mocus":
-        mocus_resume = resumed["state"]["mocus"]
     on_progress = None
     if manager is not None:
         on_progress = lambda build: manager.maybe_save(  # noqa: E731
@@ -1249,12 +806,12 @@ def _generate_cutsets(
         )
     try:
         result = mocus(
-            mocus_tree,
+            tree,
             MocusOptions(cutoff=opts.cutoff, max_partials=opts.max_partials),
-            budget=budget,
+            budget=run.budget,
             on_progress=on_progress,
-            resume=mocus_resume,
-            metrics=obs.metrics if obs.enabled else None,
+            resume=resumed["state"]["mocus"] if phase == "mocus" else None,
+            metrics=run.obs.metrics if run.obs.enabled else None,
         )
     except BudgetExceededError as error:
         if error.partial is None:
@@ -1265,158 +822,413 @@ def _generate_cutsets(
         if manager is not None:
             manager.save("mocus", {"mocus": error.partial.frontier})
     if digest is not None and not result.truncated:
-        solve_cache.put_mocus(
+        run.solve_cache.put_mocus(
             digest,
             opts.cutoff,
             opts.max_partials,
             [list(cutset) for cutset in result.full_cutsets],
         )
-    return result, {}
+    return result
 
 
-def _quantify_cutsets(
-    sdft: SdFaultTree,
-    translation_tree: "FaultTree",
-    mocus_result: MocusResult,
-    opts: AnalysisOptions,
-    budget: "Budget | None",
-    health: HealthLog,
-    manager: "CheckpointManager | None",
-    restored: dict,
-    obs: Observability = NULL_OBS,
-    verifier: Verifier | None = None,
-    solve_cache: "SolveCache | None" = None,
-    primed: "dict[tuple, tuple[float, int]] | None" = None,
-    primed_records: "dict[frozenset, McsQuantification] | None" = None,
-) -> "tuple[list[McsQuantification], bool]":
-    """Quantify every cutset with isolation, budgets and checkpoints.
+def _quantify(run: _Run) -> None:
+    """Quantify every cutset in one fold, in cutset order.
 
-    ``opts.jobs`` selects the execution strategy: the serial in-process
-    loop (``1``), or the dedup + process-pool farm of :mod:`repro.perf`
-    — both produce identical records, totals and health events for the
-    same analysis.
-
-    ``primed`` seeds the in-memory cache with a previous run's solves
-    (signature-keyed, so entries for changed ``FT_C`` models can never
-    be hit); only changed models are re-solved.  ``primed_records``
-    serves whole records the caller proved untouched by an edit through
-    the same checked-restore path a checkpoint resume uses (checkpoint
-    restores win on conflict — they belong to *this* run's frame).
+    A restored record passes :meth:`_QuantifyContext.checked`; any other
+    cutset takes :meth:`_QuantifyContext.quantify`, whatever ``jobs`` is
+    — a :class:`_Farm` only pre-fills pool-solved values it consumes.
     """
     from repro.perf.pool import resolve_jobs
 
+    started = time.perf_counter()
+    opts, manager, records = run.opts, run.manager, run.records
     n_jobs = resolve_jobs(opts.jobs)
-    cache = QuantificationCache()
-    cache.persistent = solve_cache
-    if primed:
-        cache._store.update(primed)
-    if primed_records:
-        merged = dict(primed_records)
-        merged.update(restored)
-        restored = merged
-    ctx = _QuantifyContext(
-        sdft,
-        translation_tree,
-        opts,
-        classification_report(sdft).by_gate,
-        cache,
-        budget,
-        health,
-        obs=obs,
-        verifier=verifier if verifier is not None else Verifier(),
-    )
-    records: list[McsQuantification] = []
-    cutset_list = list(mocus_result.cutsets)
+    cache = run.cache
+    cache.persistent = run.solve_cache
+    if run.stored is not None:
+        # The stored run's dedup counters: its records re-solve nothing.
+        cache.hits, cache.misses = run.stored["hits"], run.stored["misses"]
+    if run.reuse is not None and run.reuse.solves:
+        cache._store.update(run.reuse.solves)
+    run.classification = classification_report(run.sdft)
+    ctx = _QuantifyContext(run, run.classification.by_gate)
 
     def state() -> dict:
         from repro.robust.checkpoint import record_to_dict
 
         return {
-            "cutsets": [sorted(c) for c in cutset_list],
+            "cutsets": [sorted(c) for c in run.cutsets],
             "records": [record_to_dict(r) for r in records],
-            "mcs_truncated": mocus_result.truncated,
-            "mcs_remainder_bound": mocus_result.remainder_bound,
+            "mcs_truncated": run.truncated,
+            "mcs_remainder_bound": run.remainder,
         }
 
-    if manager is not None:
-        # Phase transition: from here on the cutset list is fixed.
-        manager.save("quantify", state())
-
-    worker_faults = 0
-    if n_jobs > 1:
-        worker_faults = _quantify_parallel(
-            ctx, cutset_list, records, restored, manager, state, n_jobs
-        )
-    else:
-        for cutset in cutset_list:
-            reused = restored.get(cutset)
+    with run.obs.tracer.span("quantify") as span:
+        if manager is not None:
+            # Phase transition: from here on the cutset list is fixed.
+            manager.save("quantify", state())
+        farm = _Farm(ctx, n_jobs) if n_jobs > 1 else None
+        for index, cutset in enumerate(run.cutsets):
+            reused = run.restored.get(cutset)
             if reused is not None:
                 records.append(ctx.checked(reused))
                 continue
-            records.append(ctx.quantify(cutset))
+            model = farm.model(index) if farm is not None else None
+            records.append(ctx.quantify(cutset, model))
             if manager is not None:
                 manager.maybe_save("quantify", state)
-
-    cache = ctx.cache
+        worker_faults = farm.finish() if farm is not None else 0
+        span.set(
+            records=len(records),
+            dedup_hits=cache.hits,
+            dedup_misses=cache.misses,
+        )
     dynamic_solves = cache.hits + cache.misses
-    perf = PerfStats(
+    run.perf = PerfStats(
         jobs=n_jobs,
         dynamic_solves=dynamic_solves,
         unique_models_solved=cache.misses,
         dedup_ratio=cache.hits / dynamic_solves if dynamic_solves else 0.0,
         worker_faults=worker_faults,
     )
-    return records, cache, perf
+    run.seconds[2] += time.perf_counter() - started
+
+
+def _serve(run: _Run) -> None:
+    """The served top probability, its method label and the static bound."""
+    started = time.perf_counter()
+    run.record_sum = sum(
+        r.probability for r in run.records if r.probability > run.opts.cutoff
+    )
+    run.total, run.method, run.bdd_info = _select_served_total(run)
+    if run.stored is not None:
+        static_bound = run.stored["static_bound"]
+    else:
+        static_bound, estimator = run.mocus.cutsets.sound_estimate()
+        if estimator != "rare-event":
+            run.health.info(
+                "quantify",
+                f"static worst-case rare-event sum overshoots 1.0; "
+                f"min-cut upper bound {static_bound:.6e} reported",
+            )
+    # The quantified total can exceed the static MCUB (the records sum
+    # first-order); keep the bound a bound.
+    run.static_bound = max(static_bound, run.total)
+    run.seconds[2] += time.perf_counter() - started
+
+
+def _select_served_total(run: _Run) -> tuple[float, str, dict]:
+    """The served top probability, its method label, and BDD stats.
+
+    A static model under ``static_engine`` "auto" or "bdd" quantifies
+    exactly via the module-wise BDD compilation of
+    :mod:`repro.bdd.quantify` (consulting the persistent bdd cache layer
+    first); the node budget tripping falls back — with a health note —
+    to the cutset path.  A records-layer hit replays the stored choice:
+    its BDD value, or the cutset path without a second BDD attempt.  The
+    cutset path serves the rare-event record sum while it is a
+    probability and the min-cut upper bound over the record values once
+    the sum overshoots 1.0, labelling which estimator answered.
+    """
+    opts, health, stored = run.opts, run.health, run.stored
+    if stored is not None and stored["bdd"] is not None:
+        total, info = stored["bdd"]
+        return total, "bdd-exact", info
+    sdft = run.sdft
+    static = not sdft.dynamic_events and not sdft.triggers
+    if stored is None and static and opts.static_engine != "mcs":
+        try:
+            return _bdd_quantification(run)
+        except BddBudgetExceeded as error:
+            health.info(
+                "bdd",
+                f"static BDD engine abandoned ({error}); falling back to "
+                f"cutset quantification",
+            )
+            if run.obs.enabled:
+                run.obs.metrics.count("bdd.budget_trips")
+    if run.record_sum > 1.0:
+        mcub = _record_min_cut_upper_bound(run.records, opts.cutoff)
+        health.info(
+            "quantify",
+            f"rare-event sum {run.record_sum:.6e} overshoots 1.0; serving the "
+            f"min-cut upper bound {mcub:.6e} instead (method mcs-min-cut-ub)",
+        )
+        return mcub, "mcs-min-cut-ub", {}
+    return run.record_sum, "mcs-rare-event", {}
+
+
+def _bdd_quantification(run: _Run) -> tuple[float, str, dict]:
+    """One exact BDD quantification (cache-aware), as a served total."""
+    from repro.bdd.quantify import quantify_static_tree
+
+    static_tree, budget, disk = (
+        run.translation.tree, run.opts.bdd_node_budget, run.solve_cache
+    )
+    digest = warm = None
+    if disk is not None:
+        from repro.perf.cache import tree_digest
+
+        digest = tree_digest(static_tree)
+        if not run.armed:
+            warm = disk.get_bdd(digest, budget, "auto")
+    if warm is not None:
+        probability, nodes, ordering, modules = warm
+        note = (
+            f"exact static quantification restored from cache "
+            f"({nodes} nodes, order {ordering})"
+        )
+    else:
+        with run.obs.tracer.span("bdd", events=len(static_tree.events)) as span:
+            exact = quantify_static_tree(static_tree, node_budget=budget)
+            probability, nodes, ordering, modules = (
+                exact.probability, exact.node_count, exact.ordering, exact.n_modules
+            )
+            span.set(nodes=nodes, ordering=ordering, modules=modules)
+        if digest is not None:
+            disk.put_bdd(
+                digest, budget, "auto", probability, nodes, ordering, modules
+            )
+        note = (
+            f"static engine: exact BDD quantification ({nodes} nodes, "
+            f"order {ordering}, {modules} modules)"
+        )
+    run.health.info("bdd", note)
+    if run.obs.enabled:
+        run.obs.metrics.observe("bdd.nodes", nodes)
+        run.obs.metrics.count(f"bdd.order.{ordering}")
+    return probability, "bdd-exact", {
+        "nodes": nodes, "ordering": ordering, "modules": modules
+    }
+
+
+def _record_min_cut_upper_bound(
+    records: "list[McsQuantification]", cutoff: float
+) -> float:
+    """The MCUB ``1 - prod(1 - p̃(C))`` over the quantified records.
+
+    The sound substitute served when the rare-event sum overshoots 1.0:
+    still an upper bound for coherent trees (each ``p̃(C)`` is the
+    probability of *some* failing scenario set, and the product bounds
+    the probability that none occurs as if they were independent), and
+    by construction never above 1.  Uses ``log1p`` to stay accurate when
+    the per-record probabilities are small but numerous.
+    """
+    import math
+
+    log_complement = 0.0
+    for record in records:
+        p = record.probability
+        if p <= cutoff:
+            continue
+        if p >= 1.0:
+            return 1.0
+        log_complement += math.log1p(-p)
+    return -math.expm1(log_complement)
+
+
+def _verify(run: _Run) -> None:
+    """End-of-run invariant checks (P1/P3 at run scope).
+
+    The *served* total must be a genuine probability (P1 now rejects any
+    value above 1.0 — the rare-event overshoot can no longer be served);
+    the raw record sum is checked only for finiteness/sign, since it
+    legitimately exceeds one.  The interval check mirrors
+    :func:`repro.core.results.served_interval` so the pipeline verifies
+    exactly the bracket it later reports.  In ``full`` mode the
+    differential cross-checks run too.  Raises
+    :class:`~repro.errors.InvariantViolation` on failure: a run-scope
+    violation means the whole result is suspect, so no degradation path
+    applies.
+    """
+    verifier, opts = run.verifier, run.opts
+    if not verifier.enabled:
+        return
+    with run.obs.tracer.span("verify", mode=verifier.mode):
+        verifier.check_value(run.remainder, "MOCUS remainder bound")
+        verifier.check_value(run.record_sum, "rare-event record sum")
+        verifier.check_probability(
+            run.total, f"served failure probability ({run.method})"
+        )
+        lower, upper = served_interval(
+            run.records, run.total, run.method, opts.cutoff, run.remainder
+        )
+        verifier.check_interval(
+            lower, run.total, upper, "failure probability interval"
+        )
+        if verifier.full:
+            from repro.robust.crosscheck import run_crosschecks
+
+            run_crosschecks(
+                run.sdft,
+                run.mocus_tree,
+                run.mocus,
+                run.records,
+                opts,
+                run.health,
+                metrics=run.obs.metrics if run.obs.enabled else None,
+            )
+    run.health.info("verify", verifier.summary())
+
+
+def _persist(run: _Run) -> None:
+    """Hand this run's work to later runs: the session hook, the records layer.
+
+    Only a pristine, newly computed run is stored: unbudgeted,
+    uncheckpointed, not truncated, and with a clean health report (no
+    degradations, retries or warnings — a degraded record set would be
+    served to later runs that might not degrade at all).  Fault-armed
+    processes never write (enforced inside the cache).
+    """
+    reuse = run.reuse
+    if reuse is not None:
+        reuse.out_translation = run.translation
+        reuse.out_mocus = run.mocus
+        reuse.out_solves = dict(run.cache._store)
+    if (
+        run.solve_cache is None
+        or run.stored is not None
+        or not run.unconstrained
+        or run.truncated
+        or not run.health.freeze().is_clean
+    ):
+        return
+    from repro.robust.checkpoint import record_to_dict
+
+    perf = run.perf
+    run.solve_cache.put_records(
+        run.fingerprint,
+        _records_options_key(run.opts),
+        {
+            "records": [record_to_dict(r) for r in run.records],
+            "static_bound": run.static_bound,
+            "dedup": {
+                "hits": run.cache.hits,
+                "misses": run.cache.misses,
+                "dynamic_solves": perf.dynamic_solves,
+                "unique_models_solved": perf.unique_models_solved,
+                "dedup_ratio": perf.dedup_ratio,
+            },
+            "method": run.method,
+            "total": run.total,
+            "bdd": run.bdd_info,
+        },
+    )
+
+
+def _finish(run: _Run) -> AnalysisResult:
+    """Close the run's stores, write the trace, and build the result."""
+    opts, obs, health, cache = run.opts, run.obs, run.health, run.cache
+    if run.solve_cache is not None:
+        health.info("cache", run.solve_cache.summary())
+        if obs.enabled:
+            for name, value in run.solve_cache.stats().items():
+                if value:
+                    obs.metrics.count(f"cache.{name}", value)
+        run.solve_cache.close()
+
+    if obs.enabled:
+        # The dedup counters come from the shared cache totals (not the
+        # per-lookup call sites), which is what keeps them identical
+        # across jobs=1/N — the same property PerfStats relies on.
+        obs.metrics.count("quantify.dedup_hits", cache.hits)
+        obs.metrics.count("quantify.dedup_misses", cache.misses)
+    if opts.trace_path:
+        n_lines = _write_trace(run, jobs=str(opts.jobs))
+        health.info(
+            "obs", f"trace written to {opts.trace_path} ({n_lines} lines)"
+        )
+
+    if run.manager is not None:
+        run.manager.clear()
+
+    return AnalysisResult(
+        failure_probability=run.total,
+        static_bound=run.static_bound,
+        horizon=opts.horizon,
+        cutoff=opts.cutoff,
+        records=tuple(run.records),
+        timings=Timings(*run.seconds),
+        classification=run.classification,
+        cache_hits=cache.hits,
+        cache_misses=cache.misses,
+        health=health.freeze(),
+        mcs_truncated=run.truncated,
+        mcs_remainder_bound=run.remainder,
+        perf=run.perf,
+        metrics=obs.metrics.snapshot() if obs.enabled else None,
+        lint=run.lint,
+        method=run.method,
+        rare_event_sum=run.record_sum,
+        bdd_nodes=int(run.bdd_info.get("nodes", 0)),
+        bdd_ordering=str(run.bdd_info.get("ordering", "")),
+        bdd_modules=int(run.bdd_info.get("modules", 0)),
+    )
+
+
+def _write_trace(run: _Run, **attrs: object) -> int:
+    """Write the run's trace and metric snapshot to ``opts.trace_path``."""
+    from repro.obs.export import write_trace
+
+    opts, obs = run.opts, run.obs
+    return write_trace(
+        opts.trace_path,
+        obs.tracer.records(),
+        obs.metrics.snapshot() if obs.enabled else None,
+        attrs={
+            "model": getattr(run.sdft, "name", None) or "",
+            "horizon": opts.horizon,
+            "cutoff": opts.cutoff,
+            **attrs,
+        },
+    )
+
+
+# ----------------------------------------------------------------------
+# Quantification: the per-cutset path and the pool pre-fill
+# ----------------------------------------------------------------------
 
 
 @dataclass
 class _QuantifyContext:
-    """Shared state and the per-cutset policy of the quantification phase.
+    """The per-cutset policy of the quantification fold.
 
-    :meth:`quantify` is the exact serial behaviour — budget gate, then
-    the (optionally ladder-protected) solve, converting failures into
-    health events and conservative records.  The parallel fold reuses it
-    verbatim for deferred and worker-failed cutsets, which is what keeps
-    serial and parallel runs bit-identical in records and health.
+    :meth:`quantify` answers a cutset no earlier record answers;
+    :meth:`checked` guards fresh and restored records alike.
     """
 
-    sdft: SdFaultTree
-    translation_tree: object
-    opts: AnalysisOptions
+    run: _Run
     classes: dict
-    cache: QuantificationCache
-    budget: "Budget | None"
-    health: HealthLog
-    obs: object = NULL_OBS
-    verifier: Verifier = field(default_factory=Verifier)
     out_of_budget: bool = False
 
-    def quantify(self, cutset: frozenset) -> McsQuantification:
-        """One cutset through the full serial path (gate, solve, recover)."""
-        gated = self._budget_gate(cutset)
-        if gated is not None:
-            return gated
-        try:
-            return self.checked(
-                _quantify_one(
-                    self.sdft,
-                    cutset,
-                    self.opts,
-                    self.classes,
-                    self.cache,
-                    self.budget,
-                    self.health,
-                    self.obs,
-                )
+    def quantify(
+        self, cutset: frozenset, model: "CutsetModel | None" = None
+    ) -> McsQuantification:
+        """One cutset through the per-cutset path (budget, solve, recover).
+
+        ``model`` is the cutset's ``FT_C`` when the caller already built
+        it; ``None`` builds it here.
+        """
+        run, health = self.run, self.run.health
+        if not self.out_of_budget and run.budget is not None and run.budget.expired():
+            health.budget(
+                "quantify",
+                "wall-clock budget exhausted; remaining cutsets carry "
+                "their conservative static worst-case bound",
             )
+            self.out_of_budget = True
+        if self.out_of_budget:
+            return self._skipped(cutset)
+        try:
+            return self.checked(self._solve(cutset, model))
         except BudgetExceededError as error:
-            self.health.budget("quantify", str(error), cutset=cutset)
+            health.budget("quantify", str(error), cutset=cutset)
             self.out_of_budget = True
             return self._skipped(cutset)
         except (NumericalError, AnalysisError) as error:
-            if not self.opts.fault_isolation:
+            if not run.opts.fault_isolation:
                 raise
-            self.health.degradation(
+            health.degradation(
                 "quantify",
                 f"every ladder rung failed ({error}); static worst-case "
                 f"bound substituted",
@@ -1435,16 +1247,17 @@ class _QuantifyContext:
         a health event naming the violated invariant.  Skipped records
         are exempt: they *are* the conservative substitute.
         """
-        if not self.verifier.enabled or record.rung == "skipped":
+        run = self.run
+        if not run.verifier.enabled or record.rung == "skipped":
             return record
-        violation = self.verifier.record_violation(
-            record, _worst_case_probability(self.translation_tree, record.cutset)
+        violation = run.verifier.record_violation(
+            record, self._worst_case(record.cutset)
         )
         if violation is None:
             return record
-        if not self.opts.fault_isolation:
+        if not run.opts.fault_isolation:
             raise InvariantViolation(violation)
-        self.health.degradation(
+        run.health.degradation(
             "verify",
             f"invariant violation: {violation}; static worst-case bound "
             f"substituted",
@@ -1453,307 +1266,242 @@ class _QuantifyContext:
         )
         return self._skipped(record.cutset)
 
-    def fold_direct(self, model: "CutsetModel") -> McsQuantification:
-        """A static or trivially-zero cutset model (no chain solve)."""
-        gated = self._budget_gate(model.cutset)
-        if gated is not None:
-            return gated
-        return self.checked(quantify_model(model, self.opts.horizon))
-
-    def fold_solved(
-        self, model: "CutsetModel", key: tuple, result: "SolveResult"
+    def _solve(
+        self, cutset: frozenset, model: "CutsetModel | None"
     ) -> McsQuantification:
-        """Fold one pool-solved unique value onto one member cutset.
+        """Quantify one cutset, through the ladder when isolation is on."""
+        run = self.run
+        opts, health = run.opts, run.health
+        if opts.fault_isolation:
+            from repro.robust.ladder import quantify_with_ladder
 
-        Drives the shared cache exactly like the serial loop would: the
-        group's first member in cutset order records the miss (and is
-        charged to the state budget), every later member is a hit.
-        """
-        gated = self._budget_gate(model.cutset)
-        if gated is not None:
-            return gated
-        found = self.cache.get(key)
-        if found is not None:
-            probability, chain_states = found
-            return self.checked(
-                McsQuantification(
-                    model.cutset,
-                    probability * model.static_factor,
-                    True,
-                    model.n_dynamic_in_cutset,
-                    model.n_dynamic_in_model,
-                    model.n_added_dynamic,
-                    chain_states,
-                    0.0,
-                    cache_hit=True,
-                    dependencies=model.dependencies,
+            outcome = quantify_with_ladder(
+                run.sdft,
+                cutset,
+                opts.horizon,
+                classes=self.classes,
+                cache=run.cache,
+                epsilon=opts.epsilon,
+                max_chain_states=opts.max_chain_states,
+                lump_chains=opts.lump_chains,
+                budget=run.budget,
+                monte_carlo_runs=opts.monte_carlo_runs,
+                monte_carlo_seed=opts.monte_carlo_seed,
+                monte_carlo_target_rel_error=opts.mc_target_rel_error,
+                monte_carlo_engine=opts.mc_engine,
+                obs=run.obs if run.obs.enabled else None,
+                model=model,
+            )
+            for attempt in outcome.attempts:
+                health.retry(
+                    "quantify",
+                    f"rung failed: {attempt.error}",
+                    cutset=cutset,
+                    rung=attempt.rung,
                 )
-            )
-        violation = self.verifier.value_violation(
-            result.probability,
-            f"pool-solved probability for {'+'.join(sorted(model.cutset))}",
+            if outcome.degraded:
+                detail = "fallback value substituted"
+                if outcome.note:
+                    detail = f"{detail} ({outcome.note})"
+                health.degradation(
+                    "quantify", detail, cutset=cutset, rung=outcome.rung
+                )
+            return outcome.record
+        if model is None:
+            model = build_cutset_model(run.sdft, cutset, self.classes)
+        record = quantify_model(
+            model,
+            opts.horizon,
+            run.cache,
+            opts.epsilon,
+            opts.max_chain_states,
+            opts.on_oversize,
+            opts.lump_chains,
+            run.budget,
+            run.obs,
         )
-        if violation is not None:
-            # The pool shipped an impossible value.  Treat it like a
-            # failed task — do not poison the shared cache; recover this
-            # member in the parent through the standard path.
-            self.health.warning(
-                "verify",
-                f"{violation}; re-solving in the parent",
-                cutset=model.cutset,
-            )
-            return self.quantify(model.cutset)
-        if self.budget is not None:
-            limit = self.budget.max_total_states
-            if (
-                limit is not None
-                and self.budget.states_charged + result.chain_states > limit
-            ):
-                # The state budget is about to trip.  Route this member
-                # through the serial per-cutset path instead, so the
-                # charge, the failure and any ladder descent happen with
-                # exactly the serial loop's accounting and health events.
-                return self.quantify(model.cutset)
-            self.budget.charge_states(result.chain_states, "quantify")
-        self.cache.put(key, result.probability, result.chain_states)
-        if self.cache.persistent is not None and result.solve_seconds > 0.0:
-            # Write a *pool-solved* value through to disk; cache-served
-            # values (solve_seconds == 0) are already there.
-            self.cache.persistent.put_solve(
-                key,
-                self.opts.epsilon,
-                self.opts.max_chain_states,
-                self.opts.lump_chains,
-                result.probability,
-                result.chain_states,
-            )
-        return self.checked(
-            McsQuantification(
-                model.cutset,
-                result.probability * model.static_factor,
-                True,
-                model.n_dynamic_in_cutset,
-                model.n_dynamic_in_model,
-                model.n_added_dynamic,
-                result.chain_states,
-                result.solve_seconds,
-                rung="lumped" if self.opts.lump_chains else "exact",
-                dependencies=model.dependencies,
-            )
-        )
-
-    def _budget_gate(self, cutset: frozenset) -> "McsQuantification | None":
-        """The skipped record once the wall-clock budget has expired."""
-        if (
-            not self.out_of_budget
-            and self.budget is not None
-            and self.budget.expired()
-        ):
-            self.health.budget(
+        if record.bounded:
+            health.degradation(
                 "quantify",
-                "wall-clock budget exhausted; remaining cutsets carry "
-                "their conservative static worst-case bound",
+                "oversized chain bounded by the interval approximation",
+                cutset=cutset,
+                rung="bound",
             )
-            self.out_of_budget = True
-        if self.out_of_budget:
-            return self._skipped(cutset)
-        return None
+        return record
+
+    def _worst_case(self, cutset: frozenset) -> float:
+        """The static worst-case ``p̄(C)`` — inequality (1)'s upper bound.
+
+        Computed from the *translation* tree (never the MOCUS override
+        probabilities), so it soundly dominates ``p̃(C)``.
+        """
+        probability = 1.0
+        for name in cutset:
+            probability *= self.run.translation.tree.events[name].probability
+        return probability
 
     def _skipped(self, cutset: frozenset) -> McsQuantification:
-        return _skipped_record(
-            self.sdft,
+        """A conservative placeholder carrying the static worst case."""
+        n_dynamic = sum(1 for name in cutset if self.run.sdft.is_dynamic(name))
+        return McsQuantification(
             cutset,
-            _worst_case_probability(self.translation_tree, cutset),
+            self._worst_case(cutset),
+            n_dynamic > 0,
+            n_dynamic,
+            n_dynamic,
+            0,
+            0,
+            0.0,
+            bounded=True,
+            lower_bound=0.0,
+            rung="skipped",
         )
 
 
-def _quantify_parallel(
-    ctx: _QuantifyContext,
-    cutset_list: list,
-    records: list,
-    restored: dict,
-    manager: "CheckpointManager | None",
-    state: "Callable[[], dict]",
-    n_jobs: int,
-) -> int:
-    """Dedup + process-pool quantification (the :mod:`repro.perf` path).
+class _Farm:
+    """The ``jobs > 1`` pre-fill: one pool solve per unique ``FT_C`` signature.
 
-    Three phases: *plan* — build every cutset's ``FT_C`` and group the
-    dynamic ones by model signature; *solve* — run one task per unique
-    model on the farm, largest first; *fold* — append records in
-    deterministic cutset order, advancing over the longest prefix whose
-    solves have landed (so checkpoints stay valid mid-run).  Returns the
-    number of worker-failed tasks (their cutsets are recovered in the
-    parent via :meth:`_QuantifyContext.quantify`).
+    Builds every unrestored cutset's ``FT_C`` up front and submits one
+    task per signature neither memory nor disk can answer.  :meth:`model`
+    pulls results as the fold reaches them and pre-fills accepted values,
+    which :func:`~repro.core.quantify.quantify_model` takes in place of a
+    local solve.  A failed task or rejected value pre-fills nothing: the
+    per-cutset path re-solves those cutsets as a ``jobs=1`` run would.
     """
-    from repro.perf.dedup import DedupPlan
-    from repro.perf.pool import SolveResult, SolveTask, fork_available, warm_farm
-    from repro.perf.schedule import estimate_chain_states
 
-    opts = ctx.opts
-    plan = DedupPlan()
-    # One entry per cutset: ("done", record) | ("serial", cutset) |
-    # ("direct", model) | ("group", key, model).
-    entries: list[tuple] = []
-    for cutset in cutset_list:
-        reused = restored.get(cutset)
-        if reused is not None:
-            entries.append(("done", reused))
-            continue
-        try:
-            model = build_cutset_model(ctx.sdft, cutset, ctx.classes)
-        except (NumericalError, AnalysisError):
-            # Defer to the per-cutset path, which reproduces the failure
-            # — and its health events — exactly as the serial loop would.
-            entries.append(("serial", cutset))
-            continue
-        if model.model is None or model.trivially_zero:
-            entries.append(("direct", model))
-            continue
-        key = ctx.cache.signature(model.model, opts.horizon)
-        plan.add(key, model)
-        entries.append(("group", key, model))
+    def __init__(self, ctx: _QuantifyContext, n_jobs: int) -> None:
+        from repro.perf.dedup import DedupPlan
+        from repro.perf.pool import SolveTask, fork_available, warm_farm
+        from repro.perf.schedule import estimate_chain_states
 
-    wall_allowance = None
-    state_allowance = None
-    if ctx.budget is not None:
-        wall_allowance = ctx.budget.remaining_seconds()
-        if ctx.budget.max_total_states is not None:
-            state_allowance = max(
-                0, ctx.budget.max_total_states - ctx.budget.states_charged
-            )
-    obs = ctx.obs
-    groups = plan.groups
-    # Pre-resolve unique models from the in-memory cache first: a
-    # session-primed (or earlier-run) signature never becomes a pool
-    # task.  The fold then serves every member as a cache hit, exactly
-    # like the serial loop.
-    for task_id, group in enumerate(groups):
-        primed = ctx.cache._store.get(group.key)
-        if primed is not None:
-            probability, chain_states = primed
-            group.result = SolveResult(
-                task_id, probability=probability, chain_states=chain_states
-            )
-    persistent = ctx.cache.persistent
-    if persistent is not None:
-        # Pre-resolve unique models from the on-disk cache: a warm group
-        # never becomes a pool task at all.  The synthesised result then
-        # flows through exactly the same fold (value guard, budget
-        # charge, in-memory cache prime) as a pool-solved one.
-        for task_id, group in enumerate(groups):
-            if group.result is not None:
+        run = ctx.run
+        opts, budget, cache = run.opts, run.budget, run.cache
+        self.run = run
+        self.knobs = (opts.epsilon, opts.max_chain_states, opts.lump_chains)
+        self.models: dict[int, CutsetModel] = {}
+        self.keys: dict[int, tuple] = {}
+        self.worker_faults = 0
+        plan = DedupPlan()
+        for index, cutset in enumerate(run.cutsets):
+            if cutset in run.restored:
                 continue
-            warm = persistent.get_solve(
-                group.key,
-                opts.epsilon,
-                opts.max_chain_states,
-                opts.lump_chains,
-            )
-            if warm is not None:
-                probability, chain_states = warm
-                group.result = SolveResult(
-                    task_id,
-                    probability=probability,
-                    chain_states=chain_states,
+            try:
+                model = build_cutset_model(run.sdft, cutset, ctx.classes)
+            except (NumericalError, AnalysisError):
+                # The per-cutset path rebuilds it and reproduces the
+                # failure — and its health events — exactly.
+                continue
+            self.models[index] = model
+            if model.model is not None and not model.trivially_zero:
+                self.keys[index] = cache.signature(model.model, opts.horizon)
+                plan.add(self.keys[index], model)
+        self.groups = plan.groups
+        pending = [
+            (task_id, group)
+            for task_id, group in enumerate(self.groups)
+            if group.key not in cache and cache.solved(group.key, self.knobs) is None
+        ]
+        self.waiting = {group.key for _, group in pending}
+        wall_allowance = state_allowance = None
+        if budget is not None:
+            wall_allowance = budget.remaining_seconds()
+            if budget.max_total_states is not None:
+                state_allowance = max(
+                    0, budget.max_total_states - budget.states_charged
                 )
-    pending = [
-        (task_id, group)
-        for task_id, group in enumerate(groups)
-        if group.result is None
-    ]
-    # With fork available, workers inherit the deduped model table from
-    # the parent's memory and tasks carry just an index — no per-task
-    # model pickling.  Without fork, models ship inline as before.
-    use_table = fork_available()
-    tasks = [
-        SolveTask(
-            task_id=task_id,
-            model=None if use_table else group.representative.model,
-            horizon=opts.horizon,
-            epsilon=opts.epsilon,
-            max_chain_states=opts.max_chain_states,
-            lump_chains=opts.lump_chains,
-            cutset=tuple(sorted(group.representative.cutset)),
-            wall_allowance=wall_allowance,
-            state_allowance=state_allowance,
-            estimated_states=estimate_chain_states(group.representative.model),
-            collect_obs=obs.enabled,
-            submitted_at=time.time() if obs.enabled else None,
-            model_index=index if use_table else -1,
-        )
-        for index, (task_id, group) in enumerate(pending)
-    ]
-
-    worker_faults = 0
-    next_index = 0
-
-    def fold_entry(entry: tuple) -> None:
-        kind = entry[0]
-        if kind == "done":
-            records.append(ctx.checked(entry[1]))
-            return
-        if kind == "serial":
-            records.append(ctx.quantify(entry[1]))
-        elif kind == "direct":
-            records.append(ctx.fold_direct(entry[1]))
-        else:
-            _, key, model = entry
-            result = plan.get(key).result
-            if result.ok:
-                records.append(ctx.fold_solved(model, key, result))
-            else:
-                # Worker-side failure: recover this member in the parent
-                # through the standard (ladder-protected) path.
-                records.append(ctx.quantify(model.cutset))
-        if manager is not None:
-            manager.maybe_save("quantify", state)
-
-    def fold_ready() -> None:
-        nonlocal next_index
-        while next_index < len(entries):
-            entry = entries[next_index]
-            if entry[0] == "group" and plan.get(entry[1]).result is None:
-                break
-            fold_entry(entry)
-            next_index += 1
-
-    if tasks:
-        farm = warm_farm(
-            n_jobs,
-            task_timeout=opts.pool_task_timeout_seconds,
-            options_key=_worker_options_key(opts),
-        )
-        if use_table:
-            farm.set_model_table(
-                [group.representative.model for _, group in pending],
-                tuple(group.key for _, group in pending),
+        # With fork available, workers inherit the deduped model table
+        # from the parent's memory and tasks carry just an index — no
+        # per-task model pickling.  Without fork, models ship inline.
+        use_table = fork_available()
+        tasks = [
+            SolveTask(
+                task_id=task_id,
+                model=None if use_table else group.representative.model,
+                horizon=opts.horizon,
+                epsilon=opts.epsilon,
+                max_chain_states=opts.max_chain_states,
+                lump_chains=opts.lump_chains,
+                cutset=tuple(sorted(group.representative.cutset)),
+                wall_allowance=wall_allowance,
+                state_allowance=state_allowance,
+                estimated_states=estimate_chain_states(group.representative.model),
+                collect_obs=run.obs.enabled,
+                submitted_at=time.time() if run.obs.enabled else None,
+                model_index=index if use_table else -1,
             )
-        for result in farm.run_batched(tasks):
-            group = groups[result.task_id]
-            group.result = result
-            if not result.ok:
-                worker_faults += 1
-            if obs.enabled:
-                _merge_worker_obs(obs, result)
-            fold_ready()
-        _surface_farm_events(farm, ctx.health, obs)
-        if obs.enabled and farm.batch_sizes:
-            obs.metrics.count("pool.batches", len(farm.batch_sizes))
-            for size in farm.batch_sizes:
-                obs.metrics.observe("pool.batch_size", size)
-    fold_ready()
-    return worker_faults
+            for index, (task_id, group) in enumerate(pending)
+        ]
+        self.farm: "SolverFarm | None" = None
+        self.results = iter(())
+        if tasks:
+            self.farm = warm_farm(
+                n_jobs,
+                task_timeout=opts.pool_task_timeout_seconds,
+                # The options a worker's behaviour depends on: a change
+                # rebuilds the warm pool instead of serving stale config.
+                options_key=(
+                    repr(opts.epsilon), opts.max_chain_states, opts.lump_chains
+                ),
+            )
+            if use_table:
+                self.farm.set_model_table(
+                    [group.representative.model for _, group in pending],
+                    tuple(group.key for _, group in pending),
+                )
+            self.results = self.farm.run_batched(tasks)
 
+    def model(self, index: int) -> "CutsetModel | None":
+        """Cutset ``index``'s plan-built model, once its solve has landed."""
+        key = self.keys.get(index)
+        while key in self.waiting:
+            result = next(self.results, None)
+            if result is None:
+                break
+            self._absorb(result)
+        return self.models.get(index)
 
-def _worker_options_key(opts: AnalysisOptions) -> tuple:
-    """Fingerprint of the options a pool worker's behaviour depends on.
+    def finish(self) -> int:
+        """Drain the farm, surface its events; the worker-fault count."""
+        for result in self.results:
+            self._absorb(result)
+        obs = self.run.obs
+        if self.farm is not None:
+            _surface_farm_events(self.farm, self.run.health, obs)
+            if obs.enabled and self.farm.batch_sizes:
+                obs.metrics.count("pool.batches", len(self.farm.batch_sizes))
+                for size in self.farm.batch_sizes:
+                    obs.metrics.observe("pool.batch_size", size)
+        return self.worker_faults
 
-    Keys the warm farm (see :func:`repro.perf.pool.warm_farm`): when any
-    of these change between analyses, serving the old pool would mean
-    serving stale worker config, so the pool is rebuilt instead.
-    """
-    return (repr(opts.epsilon), opts.max_chain_states, opts.lump_chains)
+    def _absorb(self, result: "SolveResult") -> None:
+        """Pre-fill one landed solve, unless it failed or is implausible."""
+        run = self.run
+        group = self.groups[result.task_id]
+        self.waiting.discard(group.key)
+        if run.obs.enabled:
+            _merge_worker_obs(run.obs, result)
+        if not result.ok:
+            self.worker_faults += 1
+            return
+        cutset = group.representative.cutset
+        violation = run.verifier.value_violation(
+            result.probability,
+            f"pool-solved probability for {'+'.join(sorted(cutset))}",
+        )
+        if violation is not None:
+            # The pool shipped an impossible value: do not poison the
+            # cache; the parent solves this signature itself.
+            run.health.warning(
+                "verify", f"{violation}; re-solving in the parent", cutset=cutset
+            )
+            return
+        run.cache.prefill(
+            group.key,
+            self.knobs,
+            result.probability,
+            result.chain_states,
+            result.solve_seconds,
+        )
 
 
 def _surface_farm_events(
@@ -1781,17 +1529,13 @@ def _surface_farm_events(
         else:
             health.warning("pool", event.message, cutset=cutset)
     if obs.enabled:
-        for kind, metric in (
-            ("rebuild", "pool.rebuilds"),
-            ("refresh", "pool.rebuilds"),
-            ("timeout", "pool.timeouts"),
-            ("retry", "pool.retries"),
-            ("quarantine", "pool.quarantined"),
-            ("probe", "pool.probes"),
-        ):
-            count = sum(1 for e in farm.events if e.kind == kind)
-            if count:
-                obs.metrics.count(metric, count)
+        names = {
+            "rebuild": "rebuilds", "refresh": "rebuilds", "timeout": "timeouts",
+            "retry": "retries", "quarantine": "quarantined", "probe": "probes",
+        }
+        for event in farm.events:
+            if event.kind in names:
+                obs.metrics.count(f"pool.{names[event.kind]}")
 
 
 def _merge_worker_obs(obs: Observability, result: "SolveResult") -> None:
@@ -1816,112 +1560,6 @@ def _merge_worker_obs(obs: Observability, result: "SolveResult") -> None:
         obs.metrics.observe("pool.task_solve_seconds", result.solve_seconds)
 
 
-def _quantify_one(
-    sdft: SdFaultTree,
-    cutset: frozenset,
-    opts: AnalysisOptions,
-    classes: "ClassificationReport",
-    cache: QuantificationCache,
-    budget: "Budget | None",
-    health: HealthLog,
-    obs: Observability = NULL_OBS,
-) -> McsQuantification:
-    """Quantify one cutset, through the ladder when isolation is on."""
-    if not opts.fault_isolation:
-        record = quantify_cutset(
-            sdft,
-            cutset,
-            opts.horizon,
-            classes=classes,
-            cache=cache,
-            epsilon=opts.epsilon,
-            max_chain_states=opts.max_chain_states,
-            on_oversize=opts.on_oversize,
-            lump_chains=opts.lump_chains,
-            budget=budget,
-            obs=obs,
-        )
-        if record.bounded:
-            health.degradation(
-                "quantify",
-                "oversized chain bounded by the interval approximation",
-                cutset=cutset,
-                rung="bound",
-            )
-        return record
-
-    from repro.robust.ladder import quantify_with_ladder
-
-    outcome = quantify_with_ladder(
-        sdft,
-        cutset,
-        opts.horizon,
-        classes=classes,
-        cache=cache,
-        epsilon=opts.epsilon,
-        max_chain_states=opts.max_chain_states,
-        lump_chains=opts.lump_chains,
-        budget=budget,
-        monte_carlo_runs=opts.monte_carlo_runs,
-        monte_carlo_seed=opts.monte_carlo_seed,
-        monte_carlo_target_rel_error=opts.mc_target_rel_error,
-        monte_carlo_engine=opts.mc_engine,
-        obs=obs if obs.enabled else None,
-    )
-    for attempt in outcome.attempts:
-        health.retry(
-            "quantify",
-            f"rung failed: {attempt.error}",
-            cutset=cutset,
-            rung=attempt.rung,
-        )
-    if outcome.degraded:
-        detail = "fallback value substituted"
-        if outcome.note:
-            detail = f"{detail} ({outcome.note})"
-        health.degradation(
-            "quantify",
-            detail,
-            cutset=cutset,
-            rung=outcome.rung,
-        )
-    return outcome.record
-
-
-def _worst_case_probability(
-    translation_tree: "FaultTree", cutset: frozenset
-) -> float:
-    """The static worst-case ``p̄(C)`` — inequality (1)'s upper bound.
-
-    Computed from the *translation* tree (never the MOCUS override
-    probabilities), so it soundly dominates ``p̃(C)``.
-    """
-    probability = 1.0
-    for name in cutset:
-        probability *= translation_tree.events[name].probability
-    return probability
-
-
-def _skipped_record(
-    sdft: SdFaultTree, cutset: frozenset, worst_case: float
-) -> McsQuantification:
-    """A conservative placeholder for a cutset the budget never reached."""
-    n_dynamic = sum(1 for name in cutset if sdft.is_dynamic(name))
-    return McsQuantification(
-        cutset,
-        worst_case,
-        n_dynamic > 0,
-        n_dynamic,
-        n_dynamic,
-        0,
-        0,
-        0.0,
-        bounded=True,
-        lower_bound=0.0,
-        rung="skipped",
-    )
-
-
 def analyze_curve(
     sdft: SdFaultTree,
     horizons: "list[float] | tuple[float, ...]",
@@ -1944,11 +1582,9 @@ def analyze_curve(
         raise ValueError(f"horizons must be non-negative, got {sorted(horizons)}")
 
     translation = to_static(sdft, widest)
-    mocus_tree = translation.tree
-    if opts.mocus_probability_overrides:
-        mocus_tree = mocus_tree.with_probabilities(opts.mocus_probability_overrides)
     cutsets = mocus(
-        mocus_tree, MocusOptions(cutoff=opts.cutoff, max_partials=opts.max_partials)
+        with_mocus_overrides(translation.tree, opts),
+        MocusOptions(cutoff=opts.cutoff, max_partials=opts.max_partials),
     ).cutsets
 
     classes = classification_report(sdft).by_gate

@@ -98,6 +98,11 @@ class QuantificationCache:
 
     def __init__(self) -> None:
         self._store: dict[tuple, tuple[float, int]] = {}
+        #: Values solved outside this run's per-cutset path — pre-filled
+        #: by the pool farm or read from disk — keyed by signature plus
+        #: solver knobs; :func:`quantify_model` takes them in place of a
+        #: local solve.
+        self._solved: dict[tuple, tuple[float, int, float]] = {}
         self.hits = 0
         self.misses = 0
         #: Optional :class:`repro.perf.cache.SolveCache` backing store.
@@ -105,6 +110,9 @@ class QuantificationCache:
         #: is written through.  Hits from disk count as *misses* here
         #: (they are first occurrences in this run) but skip the solve.
         self.persistent: "SolveCache | None" = None
+
+    def __contains__(self, key: tuple) -> bool:
+        return key in self._store
 
     def signature(self, model: SdFaultTree, horizon: float) -> tuple:
         """A hashable key identifying the quantification problem."""
@@ -121,6 +129,39 @@ class QuantificationCache:
         """Record a solve."""
         self.misses += 1
         self._store[key] = (probability, chain_states)
+
+    def prefill(
+        self,
+        key: tuple,
+        knobs: tuple,
+        probability: float,
+        chain_states: int,
+        solve_seconds: float,
+    ) -> None:
+        """Hold a value a pool worker solved under ``knobs``.
+
+        ``knobs`` is ``(epsilon, max_chain_states, lump_chains)``.  The
+        value is written through to the disk layer; the run's counters
+        and budget are charged only when :func:`quantify_model` takes it.
+        """
+        self._solved[(key, knobs)] = (probability, chain_states, solve_seconds)
+        if self.persistent is not None:
+            self.persistent.put_solve(key, *knobs, probability, chain_states)
+
+    def solved(
+        self, key: tuple, knobs: tuple
+    ) -> tuple[float, int, float] | None:
+        """``(probability, chain size, solve seconds)`` solved elsewhere.
+
+        A pool pre-fill, else a disk-layer entry (remembered, so the disk
+        is read once per signature), else ``None``.
+        """
+        found = self._solved.get((key, knobs))
+        if found is None and self.persistent is not None:
+            warm = self.persistent.get_solve(key, *knobs)
+            if warm is not None:
+                found = self._solved[(key, knobs)] = (warm[0], warm[1], 0.0)
+        return found
 
 
 def quantify_cutset(
@@ -191,18 +232,7 @@ def quantify_model(
     if on_oversize not in _OVERSIZE_MODES:
         raise ValueError(f"unknown on_oversize mode {on_oversize!r}")
     if model.trivially_zero:
-        return McsQuantification(
-            model.cutset,
-            0.0,
-            True,
-            model.n_dynamic_in_cutset,
-            model.n_dynamic_in_model,
-            model.n_added_dynamic,
-            0,
-            0.0,
-            trivially_zero=True,
-            dependencies=model.dependencies,
-        )
+        return _dynamic_record(model, 0.0, 0, 0.0, trivially_zero=True)
     if model.model is None:
         return McsQuantification(
             model.cutset,
@@ -216,50 +246,24 @@ def quantify_model(
             dependencies=model.dependencies,
         )
 
+    rung = "lumped" if lump_chains else "exact"
     key = cache.signature(model.model, horizon) if cache is not None else None
-    if cache is not None and key is not None:
+    if key is not None:
         found = cache.get(key)
         if found is not None:
-            probability, chain_states = found
-            return McsQuantification(
-                model.cutset,
-                probability * model.static_factor,
-                True,
-                model.n_dynamic_in_cutset,
-                model.n_dynamic_in_model,
-                model.n_added_dynamic,
-                chain_states,
-                0.0,
-                cache_hit=True,
-                dependencies=model.dependencies,
-            )
-
-    if cache is not None and key is not None and cache.persistent is not None:
-        warm = cache.persistent.get_solve(
-            key, epsilon, max_chain_states, lump_chains
-        )
-        if warm is not None:
-            # A prior run already solved this exact model under these
-            # exact solver knobs.  Keep the run's accounting identical
-            # to a fresh solve: the budget is charged for the states
-            # the solve *would* have cost, and the in-memory cache is
-            # primed so later members of the group hit it as usual.
-            probability, solved_states = warm
+            return _dynamic_record(model, found[0], found[1], 0.0, cache_hit=True)
+        solved = cache.solved(key, (epsilon, max_chain_states, lump_chains))
+        if solved is not None:
+            # A pool worker or a prior run (disk) already solved this
+            # exact model under these exact solver knobs.  Keep the
+            # run's accounting identical to a fresh solve: the budget is
+            # charged for the states the solve cost, and the in-memory
+            # cache is primed so later members of the group hit it.
+            probability, solved_states, seconds = solved
             if budget is not None:
                 budget.charge_states(solved_states, "quantify")
             cache.put(key, probability, solved_states)
-            return McsQuantification(
-                model.cutset,
-                probability * model.static_factor,
-                True,
-                model.n_dynamic_in_cutset,
-                model.n_dynamic_in_model,
-                model.n_added_dynamic,
-                solved_states,
-                0.0,
-                rung="lumped" if lump_chains else "exact",
-                dependencies=model.dependencies,
-            )
+            return _dynamic_record(model, probability, solved_states, seconds, rung)
 
     obs = obs if obs is not None else NULL_OBS
     started = time.perf_counter()
@@ -294,7 +298,7 @@ def quantify_model(
         )
         span.set(chain_states=solved_states, probability=dynamic_probability)
     elapsed = time.perf_counter() - started
-    if cache is not None and key is not None:
+    if key is not None:
         cache.put(key, dynamic_probability, solved_states)
         if cache.persistent is not None:
             cache.persistent.put_solve(
@@ -305,16 +309,31 @@ def quantify_model(
                 dynamic_probability,
                 solved_states,
             )
+    return _dynamic_record(model, dynamic_probability, solved_states, elapsed, rung)
+
+
+def _dynamic_record(
+    model: CutsetModel,
+    probability: float,
+    chain_states: int,
+    solve_seconds: float,
+    rung: str = "exact",
+    cache_hit: bool = False,
+    trivially_zero: bool = False,
+) -> McsQuantification:
+    """The record of a dynamic cutset whose chain value is ``probability``."""
     return McsQuantification(
         model.cutset,
-        dynamic_probability * model.static_factor,
+        probability * model.static_factor,
         True,
         model.n_dynamic_in_cutset,
         model.n_dynamic_in_model,
         model.n_added_dynamic,
-        solved_states,
-        elapsed,
-        rung="lumped" if lump_chains else "exact",
+        chain_states,
+        solve_seconds,
+        cache_hit=cache_hit,
+        trivially_zero=trivially_zero,
+        rung=rung,
         dependencies=model.dependencies,
     )
 

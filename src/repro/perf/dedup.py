@@ -25,14 +25,11 @@ class ModelGroup:
 
     ``representative`` is the :class:`~repro.core.cutset_model.CutsetModel`
     of the first member — its ``model`` is the one handed to a solver.
-    ``result`` is filled in by the execution layer once the unique solve
-    lands (a :class:`~repro.perf.pool.SolveResult`).
     """
 
     key: tuple
     representative: object
     members: list[frozenset] = field(default_factory=list)
-    result: object | None = None
 
     @property
     def n_members(self) -> int:

@@ -171,7 +171,7 @@ def solve_task(task: SolveTask) -> SolveResult:
     :func:`repro.core.quantify.quantify_model` step for step — same
     fault-injection stages, same operations in the same order — so a
     fault armed before the pool forked trips here exactly as it would
-    have in the serial loop.
+    have in a ``jobs=1`` run.
     """
     from repro.ctmc.lumping import lump
     from repro.ctmc.product import build_product

@@ -430,11 +430,9 @@ def run_campaign(
 
     from repro.core.analyzer import AnalysisOptions, analyze
     from repro.perf.pool import resolve_jobs
-    from repro.robust.verify import resolve_mode
 
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    resolve_mode(verify)
     jobs = resolve_jobs(jobs)
     base = options if options is not None else AnalysisOptions(cutoff=1e-10)
     started = time.perf_counter()

@@ -13,7 +13,7 @@ numbers, applied to the pipeline's own internals:
    dynamic cutsets is re-solved in-process with a fresh cache and
    compared against the recorded value.  This is the check that
    catches a corrupted pool result, a poisoned cache entry, or a
-   fold bug: the pool and the serial loop promise bit-identical
+   fold bug: a pool run and a ``jobs=1`` run promise bit-identical
    values, so any disagreement is a defect, not noise.
 2. **BDD oracle** — the *exact* top probability from the BDD engine
    (:mod:`repro.bdd`) must sit inside the bracket the cutset path

@@ -95,6 +95,7 @@ def quantify_with_ladder(
     monte_carlo_target_rel_error: float = 0.10,
     monte_carlo_engine: str = "auto",
     obs: Observability | None = None,
+    model: CutsetModel | None = None,
 ) -> LadderOutcome:
     """Quantify one cutset, degrading through the ladder on failure.
 
@@ -107,9 +108,11 @@ def quantify_with_ladder(
     estimator of the simulation rung (``monte_carlo_runs`` caps its
     total trajectories).  ``obs`` optionally records the ``ladder.*``
     counters (descents, failed rungs, final rung) and is threaded into
-    the exact solves for their spans.
+    the exact solves for their spans.  ``model`` is the cutset's
+    already-built ``FT_C``; ``None`` builds it here.
     """
-    model = build_cutset_model(sdft, cutset, classes)
+    if model is None:
+        model = build_cutset_model(sdft, cutset, classes)
 
     attempts: list[LadderAttempt] = []
 

@@ -38,7 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.core.analyzer import AnalysisOptions, AnalysisReuse, analyze
+from repro.core.analyzer import (
+    AnalysisOptions,
+    AnalysisReuse,
+    analyze,
+    with_mocus_overrides,
+)
 from repro.core.quantify import McsQuantification
 from repro.core.results import AnalysisResult
 from repro.core.sdft import SdFaultTree
@@ -270,14 +275,9 @@ class AnalysisSession:
         mode = "full"
         if self._incremental_applicable(opts):
             translation = to_static(self.model, opts.horizon)
-            mocus_tree = translation.tree
-            if opts.mocus_probability_overrides:
-                mocus_tree = mocus_tree.with_probabilities(
-                    opts.mocus_probability_overrides
-                )
             previous = self._previous
             found = incremental_cutsets(
-                mocus_tree,
+                with_mocus_overrides(translation.tree, opts),
                 MocusOptions(
                     cutoff=opts.cutoff, max_partials=opts.max_partials
                 ),
@@ -406,11 +406,7 @@ class AnalysisSession:
             family = mocus_result.full_cutsets
             translation = reuse.out_translation
             if translation is not None:
-                tree = translation.tree
-                if self.options.mocus_probability_overrides:
-                    tree = tree.with_probabilities(
-                        self.options.mocus_probability_overrides
-                    )
+                tree = with_mocus_overrides(translation.tree, self.options)
         # Records do not accumulate across edits (unlike the solve
         # store): the dirty-set diff is computed against the one model
         # the records came from, so only the latest complete list is
