@@ -1435,13 +1435,7 @@ class _Farm:
         self.results = iter(())
         if tasks:
             self.farm = warm_farm(
-                n_jobs,
-                task_timeout=opts.pool_task_timeout_seconds,
-                # The options a worker's behaviour depends on: a change
-                # rebuilds the warm pool instead of serving stale config.
-                options_key=(
-                    repr(opts.epsilon), opts.max_chain_states, opts.lump_chains
-                ),
+                n_jobs, task_timeout=opts.pool_task_timeout_seconds
             )
             if use_table:
                 self.farm.set_model_table(
@@ -1509,33 +1503,19 @@ def _surface_farm_events(
 ) -> None:
     """Turn the farm's recovery actions into health entries and metrics.
 
-    Pool rebuilds, watchdog timeouts, crash retries and quarantines are
-    operational facts about *this* run's environment — they appear in
-    the health report (so a crash-scarred run is never indistinguishable
+    Pool rebuilds and watchdog timeouts are operational facts about
+    *this* run's environment — they appear in the health report as
+    ``pool`` warnings (so a crash-scarred run is never indistinguishable
     from a clean one) but never change analysis values: the affected
-    cutsets were re-answered through the standard degradation path.
+    cutsets were re-answered through the in-process path.
     """
     for event in farm.events:
         cutset = frozenset(event.cutset) if event.cutset else None
-        if event.kind == "retry":
-            health.retry("pool", event.message, cutset=cutset)
-        elif event.kind == "refresh":
-            # A deliberate option-driven rebuild is routine — and it is
-            # a fact about the *previous* run's options, not this run's
-            # analysis, so it stays out of the health report entirely
-            # (health must be identical across jobs and farm history);
-            # it is still counted in the pool.rebuilds metric below.
-            continue
-        else:
-            health.warning("pool", event.message, cutset=cutset)
-    if obs.enabled:
-        names = {
-            "rebuild": "rebuilds", "refresh": "rebuilds", "timeout": "timeouts",
-            "retry": "retries", "quarantine": "quarantined", "probe": "probes",
-        }
-        for event in farm.events:
-            if event.kind in names:
-                obs.metrics.count(f"pool.{names[event.kind]}")
+        health.warning("pool", event.message, cutset=cutset)
+        if obs.enabled:
+            obs.metrics.count(
+                "pool.timeouts" if event.kind == "timeout" else "pool.rebuilds"
+            )
 
 
 def _merge_worker_obs(obs: Observability, result: "SolveResult") -> None:

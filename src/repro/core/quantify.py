@@ -30,7 +30,9 @@ from repro.robust import faults
 
 if TYPE_CHECKING:
     from repro.core.classify import ClassificationReport
+    from repro.ctmc.product import ProductChain
     from repro.obs.core import Observability
+    from repro.obs.metrics import MetricsRegistry, NullMetrics
     from repro.perf.cache import SolveCache
     from repro.robust.budget import Budget
 
@@ -39,6 +41,7 @@ __all__ = [
     "QuantificationCache",
     "bound_record",
     "quantify_cutset",
+    "solve_product",
 ]
 
 #: Valid ``on_oversize`` modes, validated before any work is done.
@@ -280,21 +283,14 @@ def quantify_model(
             # degradation ladder ends on (repro.robust.ladder).
             span.set(rung="bound")
             return bound_record(model, horizon, epsilon)
-        chain = product.chain
-        solved_states = product.n_states
-        if lump_chains:
-            faults.check("lump", cutset=model.cutset)
-            lumped = lump(chain.with_absorbing(chain.failed))
-            chain = lumped.chain
-            solved_states = chain.n_states
-        if budget is not None:
-            budget.charge_states(solved_states, "quantify")
-        faults.check("transient_solve", cutset=model.cutset)
-        dynamic_probability = reach_probability(
-            chain, horizon, epsilon=epsilon, budget=budget, metrics=obs.metrics
-        )
-        dynamic_probability = faults.corrupt(
-            "solve_value", dynamic_probability, cutset=model.cutset
+        dynamic_probability, solved_states = solve_product(
+            product,
+            horizon,
+            epsilon,
+            lump_chains,
+            budget,
+            obs.metrics,
+            model.cutset,
         )
         span.set(chain_states=solved_states, probability=dynamic_probability)
     elapsed = time.perf_counter() - started
@@ -310,6 +306,38 @@ def quantify_model(
                 solved_states,
             )
     return _dynamic_record(model, dynamic_probability, solved_states, elapsed, rung)
+
+
+def solve_product(
+    product: "ProductChain",
+    horizon: float,
+    epsilon: float,
+    lump_chains: bool,
+    budget: "Budget | None",
+    metrics: "MetricsRegistry | NullMetrics",
+    cutset: frozenset[str],
+) -> tuple[float, int]:
+    """Solve a built product chain: ``(reach probability, states solved)``.
+
+    The one solve body shared by :func:`quantify_model` and the pool
+    worker (:func:`repro.perf.pool.solve_task`): optional lumping, the
+    budget charge, the transient solve and their fault-injection
+    checkpoints, in that order, so a fault trips identically on every
+    ``jobs`` setting.
+    """
+    chain = product.chain
+    solved_states = product.n_states
+    if lump_chains:
+        faults.check("lump", cutset=cutset)
+        chain = lump(chain.with_absorbing(chain.failed)).chain
+        solved_states = chain.n_states
+    if budget is not None:
+        budget.charge_states(solved_states, "quantify")
+    faults.check("transient_solve", cutset=cutset)
+    probability = reach_probability(
+        chain, horizon, epsilon=epsilon, budget=budget, metrics=metrics
+    )
+    return faults.corrupt("solve_value", probability, cutset=cutset), solved_states
 
 
 def _dynamic_record(

@@ -180,7 +180,7 @@ def metric_highlights(snapshot: dict | None) -> list[str]:
         lines.append(line)
     recovery = {
         kind: counters.get(f"pool.{kind}", 0)
-        for kind in ("rebuilds", "timeouts", "retries", "quarantined", "probes")
+        for kind in ("rebuilds", "timeouts")
     }
     if any(recovery.values()):
         lines.append(

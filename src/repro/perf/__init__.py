@@ -25,7 +25,6 @@ from repro.perf.cache import SolveCache, default_cache_dir, tree_digest
 from repro.perf.dedup import DedupPlan, ModelGroup
 from repro.perf.fingerprint import model_signature
 from repro.perf.pool import (
-    SolveBatch,
     SolveResult,
     SolveTask,
     SolverFarm,
@@ -44,7 +43,6 @@ from repro.perf.schedule import (
 __all__ = [
     "DedupPlan",
     "ModelGroup",
-    "SolveBatch",
     "SolveCache",
     "SolveResult",
     "SolveTask",

@@ -1,7 +1,7 @@
 """A circuit breaker around the warm solver farm.
 
-Repeated pool breakage (rebuilds, timeouts, quarantines surfaced as
-``pool`` warnings in run health) trips the breaker; while it is open,
+Repeated pool breakage (rebuilds and timeouts surfaced as ``pool``
+warnings in run health) trips the breaker; while it is open,
 the daemon forces ``jobs=1`` so requests are served through the serial
 in-process path — slower, but immune to whatever is killing workers —
 and every response carries a health note saying so.  After a

@@ -183,15 +183,13 @@ class TestMetricHighlights:
                 "verify.checks": 1200,
                 "verify.violations": 2,
                 "pool.rebuilds": 1,
-                "pool.retries": 1,
-                "pool.quarantined": 1,
+                "pool.timeouts": 1,
             },
             "histograms": {},
         }
         lines = "\n".join(metric_highlights(snapshot))
         assert "verify: 1200 invariant checks, 2 violations" in lines
-        assert "pool recovery: 1 rebuilds" in lines
-        assert "1 quarantined" in lines
+        assert "pool recovery: 1 rebuilds, 1 timeouts" in lines
 
     def test_clean_run_shows_no_recovery_line(self):
         snapshot = {

@@ -2,17 +2,18 @@
 
 The economics under test: many solves per IPC round-trip, one pool fork
 per process (not per analysis), zero model pickling on the fork path —
-all without changing a single result bit relative to per-task dispatch.
+all without changing a single result bit relative to solving each task
+on its own.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
+from repro.core.analyzer import AnalysisOptions, analyze
 from repro.core.cutset_model import build_cutset_model
 from repro.perf import pool as pool_module
 from repro.perf.pool import (
-    SolveBatch,
     SolveTask,
     SolverFarm,
     fork_available,
@@ -99,7 +100,7 @@ class TestSolveBatch:
     def test_matches_per_task_results(self, cooling_sdft):
         tasks = make_tasks(cooling_sdft)
         expected = [solve_task(task) for task in tasks]
-        got = solve_batch(SolveBatch(tuple(tasks)))
+        got = solve_batch(tuple(tasks))
         assert [r.task_id for r in got] == [r.task_id for r in expected]
         assert [r.probability for r in got] == [
             r.probability for r in expected
@@ -115,11 +116,10 @@ class TestRunBatched:
         farm = SolverFarm(jobs=2)
         try:
             batched = {r.task_id: r for r in farm.run_batched(tasks)}
-            assert farm.batch_sizes, "the batched path must have been taken"
             assert sum(farm.batch_sizes) == len(tasks)
-            per_task = {r.task_id: r for r in farm.run(tasks)}
         finally:
             farm.close()
+        per_task = {task.task_id: solve_task(task) for task in tasks}
         assert set(batched) == set(per_task) == set(range(len(tasks)))
         for task_id in per_task:
             assert batched[task_id].probability == (
@@ -130,16 +130,6 @@ class TestRunBatched:
             )
             assert batched[task_id].ok
 
-    def test_small_lists_fall_back_to_per_task_dispatch(self, cooling_sdft):
-        tasks = make_tasks(cooling_sdft)[:2]
-        farm = SolverFarm(jobs=2)
-        try:
-            results = list(farm.run_batched(tasks))
-        finally:
-            farm.close()
-        assert len(results) == len(tasks)
-        assert farm.batch_sizes == []
-
     def test_task_timeout_falls_back_to_per_task_dispatch(self, cooling_sdft):
         tasks = make_tasks(cooling_sdft)
         farm = SolverFarm(jobs=2, task_timeout=30.0)
@@ -148,7 +138,9 @@ class TestRunBatched:
         finally:
             farm.close()
         assert len(results) == len(tasks)
-        assert farm.batch_sizes == []  # a batch cannot be timed out mid-flight
+        assert all(r.ok for r in results)
+        # A batch cannot be interrupted mid-flight: the deadline is per task.
+        assert farm.batch_sizes == [1] * len(tasks)
 
     def test_run_state_resets_between_runs(self, cooling_sdft):
         tasks = make_tasks(cooling_sdft)
@@ -184,7 +176,7 @@ class TestModelTable:
         farm = SolverFarm(jobs=2)
         try:
             farm.set_model_table([t.model for t in tasks], key="test-table")
-            expected = {r.task_id: r for r in farm.run(tasks)}
+            expected = {r.task_id: r for r in farm.run_batched(tasks)}
             got = {r.task_id: r for r in farm.run_batched(by_index)}
         finally:
             farm.close()
@@ -233,36 +225,34 @@ class TestWarmFarm:
         assert second.task_timeout == 1.5
         shutdown_warm_farm()
 
-    def test_changed_options_key_refreshes_workers(self):
-        # Workers inherit solver knobs (epsilon, max_chain_states,
-        # lump_chains) when the pool forks; a farm kept warm across
-        # runs must not serve a run whose options differ from the ones
-        # it was built with.
+    def test_option_changes_reuse_the_warm_pool(self, cooling_sdft):
+        """Workers read ``epsilon``/``max_chain_states``/``lump_chains``
+        from each task, never from state inherited through the fork, so
+        one warm pool serves analyses whose options keep changing."""
+        from tests.perf.test_parallel_analyzer import assert_identical
+
         shutdown_warm_farm()
         try:
-            first = warm_farm(2, options_key=("1e-12", 200_000, False))
-            assert first.option_refreshes == 0
-            same = warm_farm(2, options_key=("1e-12", 200_000, False))
-            assert same is first
-            assert same.option_refreshes == 0
-
-            changed = warm_farm(2, options_key=("1e-10", 200_000, True))
-            assert changed is first  # same farm object, recycled pool
-            assert changed.option_refreshes == 1
-            # The refresh lands in the *next* run's accounting as a
-            # pool.rebuilds metric (never in the health report — health
-            # is identical across farm history).
-            changed._reset_run_state()
-            assert changed.rebuilds == 1
-            assert [e.kind for e in changed.events] == ["refresh"]
-            # ... and is consumed: the run after that starts clean.
-            changed._reset_run_state()
-            assert changed.rebuilds == 0
-            assert changed.events == []
-
-            # None means "caller doesn't track options": never refresh.
-            untracked = warm_farm(2, options_key=None)
-            assert untracked.option_refreshes == 1
+            pools = set()
+            for epsilon, lump_chains in [
+                (1e-12, False),
+                (1e-9, True),
+                (1e-12, True),
+                (1e-9, False),
+            ]:
+                opts = AnalysisOptions(
+                    horizon=24.0, epsilon=epsilon, lump_chains=lump_chains
+                )
+                serial = analyze(cooling_sdft, opts)
+                parallel = analyze(cooling_sdft, replace(opts, jobs=2))
+                assert_identical(serial, parallel)
+                assert not [
+                    e for e in parallel.health.events if e.stage == "pool"
+                ]
+                farm = warm_farm(2)
+                assert farm.batch_sizes, "the pool must have served the run"
+                pools.add(id(farm._pool))
+            assert len(pools) == 1  # never recycled between the runs
         finally:
             shutdown_warm_farm()
 

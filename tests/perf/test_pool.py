@@ -33,6 +33,15 @@ def make_task(sdft, cutset, task_id=0, **overrides):
     return model, SolveTask(**settings)
 
 
+def run_farm(tasks, jobs=2):
+    """Results by task id from one ``run_batched`` on a fresh farm."""
+    farm = SolverFarm(jobs=jobs)
+    try:
+        return {r.task_id: r for r in farm.run_batched(tasks)}
+    finally:
+        farm.close()
+
+
 class TestResolveJobs:
     def test_integers_pass_through(self):
         assert resolve_jobs(1) == 1
@@ -124,7 +133,7 @@ class TestSolverFarm:
             model, task = make_task(cooling_sdft, cutset, task_id=i)
             models.append(model)
             tasks.append(task)
-        results = {r.task_id: r for r in SolverFarm(jobs=2).run(tasks)}
+        results = run_farm(tasks)
         assert sorted(results) == [0, 1, 2]
         for i, model in enumerate(models):
             serial = quantify_model(model, 24.0)
@@ -136,7 +145,7 @@ class TestSolverFarm:
             assert results[i].chain_states == serial.chain_states
 
     def test_empty_task_list(self):
-        assert list(SolverFarm(jobs=2).run([])) == []
+        assert run_farm([]) == {}
 
     def test_rejects_non_positive_jobs(self):
         with pytest.raises(ValueError):
@@ -152,15 +161,13 @@ class TestSolverFarm:
             NumericalError("worker fault"),
             when=lambda cutset: cutset == frozenset({"b", "d"}),
         ):
-            results = {
-                r.task_id: r for r in SolverFarm(jobs=2).run([good, doomed])
-            }
+            results = run_farm([good, doomed])
         assert results[0].ok
         assert not results[1].ok
         assert results[1].error_kind == "numerical"
 
     def test_results_are_plain_data(self, cooling_sdft):
         _, task = make_task(cooling_sdft, frozenset({"b", "d"}))
-        (result,) = list(SolverFarm(jobs=1).run([task]))
+        (result,) = run_farm([task], jobs=1).values()
         assert isinstance(result, SolveResult)
         assert result.ok
