@@ -41,7 +41,6 @@ from repro.errors import (
     InvariantViolation,
     NumericalError,
 )
-from repro.ft.cutsets import CutSetList
 from repro.ft.mocus import MocusOptions, MocusResult, mocus
 from repro.ft.probability import rare_event_probability
 from repro.obs.core import Observability
@@ -51,8 +50,6 @@ from repro.robust.health import HealthLog
 from repro.robust.verify import Verifier, resolve_mode
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable
-
     from repro.core.classify import ClassificationReport
     from repro.core.cutset_model import CutsetModel
     from repro.core.to_static import StaticTranslation
@@ -743,16 +740,6 @@ def _cutsets(run: _Run) -> None:
     run.seconds[1] = time.perf_counter() - started
 
 
-def _cutset_list(tree: "FaultTree", names: "Iterable") -> CutSetList:
-    """A minimal :class:`CutSetList` over ``tree``'s event probabilities."""
-    probabilities = {
-        name: event.probability for name, event in tree.events.items()
-    }
-    return CutSetList.from_cutsets(
-        [frozenset(cutset) for cutset in names], probabilities, minimal=True
-    )
-
-
 def _search(run: _Run) -> MocusResult:
     """Run (or restore) cutset generation, surviving budget exhaustion.
 
@@ -774,8 +761,10 @@ def _search(run: _Run) -> MocusResult:
         return run.reuse.cutsets
     if phase == "quantify":
         state = resumed["state"]
-        return MocusResult(
-            _cutset_list(tree, state["cutsets"]),
+        return MocusResult.from_family(
+            state["cutsets"],
+            tree,
+            opts.cutoff,
             truncated=state.get("mcs_truncated", False),
             remainder_bound=state.get("mcs_remainder_bound", 0.0),
         )
@@ -791,13 +780,12 @@ def _search(run: _Run) -> MocusResult:
                 digest, opts.cutoff, opts.max_partials
             )
         if names is not None:
-            cutsets = _cutset_list(tree, names)
-            if opts.cutoff > 0.0:
-                cutsets = cutsets.truncate(opts.cutoff)
+            result = MocusResult.from_family(names, tree, opts.cutoff)
             run.health.info(
-                "cache", f"mocus: {len(cutsets)} cutsets restored (search skipped)"
+                "cache",
+                f"mocus: {len(result.cutsets)} cutsets restored (search skipped)",
             )
-            return MocusResult(cutsets)
+            return result
 
     on_progress = None
     if manager is not None:
@@ -1370,7 +1358,6 @@ class _Farm:
     """
 
     def __init__(self, ctx: _QuantifyContext, n_jobs: int) -> None:
-        from repro.perf.dedup import DedupPlan
         from repro.perf.pool import SolveTask, fork_available, warm_farm
         from repro.perf.schedule import estimate_chain_states
 
@@ -1381,7 +1368,8 @@ class _Farm:
         self.models: dict[int, CutsetModel] = {}
         self.keys: dict[int, tuple] = {}
         self.worker_faults = 0
-        plan = DedupPlan()
+        # The first-seen model of each signature, in first-seen order.
+        unique: dict[tuple, CutsetModel] = {}
         for index, cutset in enumerate(run.cutsets):
             if cutset in run.restored:
                 continue
@@ -1394,14 +1382,14 @@ class _Farm:
             self.models[index] = model
             if model.model is not None and not model.trivially_zero:
                 self.keys[index] = cache.signature(model.model, opts.horizon)
-                plan.add(self.keys[index], model)
-        self.groups = plan.groups
+                unique.setdefault(self.keys[index], model)
+        self.groups = list(unique.items())
         pending = [
-            (task_id, group)
-            for task_id, group in enumerate(self.groups)
-            if group.key not in cache and cache.solved(group.key, self.knobs) is None
+            (task_id, key, model)
+            for task_id, (key, model) in enumerate(self.groups)
+            if key not in cache and cache.solved(key, self.knobs) is None
         ]
-        self.waiting = {group.key for _, group in pending}
+        self.waiting = {key for _, key, _ in pending}
         wall_allowance = state_allowance = None
         if budget is not None:
             wall_allowance = budget.remaining_seconds()
@@ -1416,20 +1404,20 @@ class _Farm:
         tasks = [
             SolveTask(
                 task_id=task_id,
-                model=None if use_table else group.representative.model,
+                model=None if use_table else model.model,
                 horizon=opts.horizon,
                 epsilon=opts.epsilon,
                 max_chain_states=opts.max_chain_states,
                 lump_chains=opts.lump_chains,
-                cutset=tuple(sorted(group.representative.cutset)),
+                cutset=tuple(sorted(model.cutset)),
                 wall_allowance=wall_allowance,
                 state_allowance=state_allowance,
-                estimated_states=estimate_chain_states(group.representative.model),
+                estimated_states=estimate_chain_states(model.model),
                 collect_obs=run.obs.enabled,
                 submitted_at=time.time() if run.obs.enabled else None,
                 model_index=index if use_table else -1,
             )
-            for index, (task_id, group) in enumerate(pending)
+            for index, (task_id, _, model) in enumerate(pending)
         ]
         self.farm: "SolverFarm | None" = None
         self.results = iter(())
@@ -1439,8 +1427,8 @@ class _Farm:
             )
             if use_table:
                 self.farm.set_model_table(
-                    [group.representative.model for _, group in pending],
-                    tuple(group.key for _, group in pending),
+                    [model.model for _, _, model in pending],
+                    tuple(key for _, key, _ in pending),
                 )
             self.results = self.farm.run_batched(tasks)
 
@@ -1470,14 +1458,14 @@ class _Farm:
     def _absorb(self, result: "SolveResult") -> None:
         """Pre-fill one landed solve, unless it failed or is implausible."""
         run = self.run
-        group = self.groups[result.task_id]
-        self.waiting.discard(group.key)
+        key, model = self.groups[result.task_id]
+        self.waiting.discard(key)
         if run.obs.enabled:
             _merge_worker_obs(run.obs, result)
         if not result.ok:
             self.worker_faults += 1
             return
-        cutset = group.representative.cutset
+        cutset = model.cutset
         violation = run.verifier.value_violation(
             result.probability,
             f"pool-solved probability for {'+'.join(sorted(cutset))}",
@@ -1490,7 +1478,7 @@ class _Farm:
             )
             return
         run.cache.prefill(
-            group.key,
+            key,
             self.knobs,
             result.probability,
             result.chain_states,

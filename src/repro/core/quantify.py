@@ -96,7 +96,7 @@ class QuantificationCache:
     (:meth:`repro.ctmc.chain.Ctmc.fingerprint`), so equal-but-distinct
     chain objects — models built separately, or chains revived by
     unpickling in another process — hit the cache too.  The same keys
-    drive the cross-process dedup of :mod:`repro.perf.dedup`.
+    drive the solver farm's cross-process dedup.
     """
 
     def __init__(self) -> None:

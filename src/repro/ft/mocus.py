@@ -138,6 +138,43 @@ class MocusResult:
     #: run can re-truncate locally (empty for truncated searches).
     full_cutsets: tuple[tuple[str, ...], ...] = ()
 
+    @classmethod
+    def from_family(
+        cls,
+        family: Iterable[Iterable[str]],
+        tree: FaultTree,
+        cutoff: float,
+        *,
+        minimal: bool = True,
+        stats: MocusStats | None = None,
+        truncated: bool = False,
+        remainder_bound: float = 0.0,
+    ) -> MocusResult:
+        """The served result for a family of event-name sets.
+
+        The one constructor every cutset source goes through (search,
+        persistent cache, checkpoint, incremental engine): the family is
+        sorted over ``tree``'s event probabilities, truncated by the
+        canonical ``p > cutoff`` rule when ``cutoff`` is positive, and
+        kept whole in ``full_cutsets`` unless ``truncated``.  A family
+        not known to be minimal passes ``minimal=False`` and is
+        re-minimised first.
+        """
+        given = [frozenset(cutset) for cutset in family]
+        probabilities = {
+            name: event.probability for name, event in tree.events.items()
+        }
+        complete = CutSetList.from_cutsets(given, probabilities, minimal=minimal)
+        if stats is None:
+            stats = MocusStats(completed=len(given), minimal=len(complete))
+        return cls(
+            complete.truncate(cutoff) if cutoff > 0.0 else complete,
+            stats,
+            truncated,
+            remainder_bound,
+            () if truncated else tuple(tuple(sorted(c)) for c in complete),
+        )
+
 
 @dataclass(frozen=True)
 class MocusPartial:
@@ -240,12 +277,6 @@ def mocus(
     def finish() -> MocusResult:
         minimal_masks = _minimize_masks(completed)
         stats.minimal = len(minimal_masks)
-        named = [_mask_to_names(compiled, mask) for mask in minimal_masks]
-        probabilities = {name: e.probability for name, e in tree.events.items()}
-        cutsets = CutSetList.from_cutsets(named, probabilities, minimal=True)
-        full = tuple(tuple(sorted(names)) for names in named)
-        if use_cutoff:
-            cutsets = cutsets.truncate(opts.cutoff)
         if metrics is not None:
             metrics.count("mocus.partials_expanded", stats.partials_expanded)
             metrics.count("mocus.partials_cut_off", stats.partials_cut_off)
@@ -255,7 +286,12 @@ def mocus(
             metrics.count("mocus.partials_subsumed", stats.partials_subsumed)
             metrics.count("mocus.cutsets_completed", stats.completed)
             metrics.count("mocus.cutsets_minimal", stats.minimal)
-        return MocusResult(cutsets, stats, full_cutsets=full)
+        return MocusResult.from_family(
+            (_mask_to_names(compiled, mask) for mask in minimal_masks),
+            tree,
+            opts.cutoff,
+            stats=stats,
+        )
 
     next_progress = progress_every
     pick_memo: dict[int, int] = {}

@@ -8,8 +8,6 @@ policy layer that threads them through the pipeline:
 
 * :mod:`repro.perf.fingerprint` — content-based structural signatures
   of chains and per-cutset models, valid across processes;
-* :mod:`repro.perf.dedup` — group cutsets by model signature so each
-  unique model is solved exactly once;
 * :mod:`repro.perf.schedule` — order unique solves largest-first to
   minimise process-pool tail latency, and pack them into balanced
   batches so one IPC round-trip amortises many solves;
@@ -22,7 +20,6 @@ policy layer that threads them through the pipeline:
 """
 
 from repro.perf.cache import SolveCache, default_cache_dir, tree_digest
-from repro.perf.dedup import DedupPlan, ModelGroup
 from repro.perf.fingerprint import model_signature
 from repro.perf.pool import (
     SolveResult,
@@ -41,8 +38,6 @@ from repro.perf.schedule import (
 )
 
 __all__ = [
-    "DedupPlan",
-    "ModelGroup",
     "SolveCache",
     "SolveResult",
     "SolveTask",

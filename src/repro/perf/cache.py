@@ -11,7 +11,7 @@ module provides the on-disk store behind ``--cache-dir``:
   lumped) -> (probability, chain_states)``, the per-unique-model
   transient solve (:mod:`repro.perf.fingerprint` keys, the same ones
   the in-memory :class:`~repro.core.quantify.QuantificationCache` and
-  the dedup plan use);
+  the solver farm's dedup use);
 * **mocus layer** — ``(tree digest, cutoff, max_partials) ->`` the
   *pre-truncation* minimal cutsets by name, re-truncated by the loading
   process so boundary floats behave exactly as a fresh local run;
@@ -125,7 +125,14 @@ def _digest(parts: tuple) -> str:
 
 
 class SolveCache:
-    """The persistent three-layer cache behind ``--cache-dir``.
+    """The persistent four-layer cache behind ``--cache-dir``.
+
+    Read rules, per layer: solve — every run; mocus — runs with no
+    budget and no checkpoint, ``verify="full"`` included, unless a
+    session supplied the cutsets; records — the same runs, but outside a
+    session and not under ``verify="full"``; bdd — static models without
+    a records hit, budgeted and checkpointed runs included.  While a
+    fault is armed only the solve layer is read.
 
     One instance per analysis (cheap to open — sqlite defers real work
     to the first statement).  All hit/miss/error counters are

@@ -9,7 +9,8 @@ Unlike the historical ``id(chain)`` keys, these signatures are stable
 across processes and recognise structurally-identical chains built
 separately — which makes them usable both for the in-process
 quantification cache (:class:`repro.core.quantify.QuantificationCache`)
-and for the cross-process dedup of :mod:`repro.perf.dedup`.
+and for the cross-process dedup of the solver farm
+(:class:`repro.core.analyzer._Farm`).
 """
 
 from __future__ import annotations

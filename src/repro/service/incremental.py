@@ -5,9 +5,10 @@ minimal cutsets of the translated tree whose probability exceeds ``c*``
 (in-search pruning is conservative: a partial's probability product only
 shrinks as events are added, so every above-cutoff minimal cutset
 survives the search).  Anything that reproduces *that set* and then goes
-through the same ``CutSetList.from_cutsets(...)`` + ``truncate(cutoff)``
-construction the analyzer's warm-cache path uses is element-for-element
-what a cold search would have returned.
+through :meth:`MocusResult.from_family <repro.ft.mocus.MocusResult.from_family>`
+— the one constructor the search, the analyzer's warm-cache and
+checkpoint paths use too — is element-for-element what a cold search
+would have returned.
 
 Two incremental strategies exploit this, in order of preference:
 
@@ -49,17 +50,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.errors import CutoffError
-from repro.ft.cutsets import CutSetList, cutset_probability
-from repro.ft.mocus import (
-    _CUTOFF_SLACK,
-    MocusOptions,
-    MocusResult,
-    MocusStats,
-    mocus,
-)
+from repro.ft.cutsets import cutset_probability
+from repro.ft.mocus import _CUTOFF_SLACK, MocusOptions, MocusResult, mocus
 from repro.ft.modules import find_modules
 from repro.ft.tree import BasicEvent, FaultTree
 from repro.perf.cache import tree_digest
@@ -171,34 +165,6 @@ def _non_increasing(new_tree: FaultTree, previous_tree: FaultTree) -> bool:
     )
 
 
-def _result_from_family(
-    family: Iterable[Iterable[str]], tree: FaultTree, cutoff: float
-) -> MocusResult:
-    """Mirror the analyzer's warm-cache construction exactly.
-
-    ``family`` must be a *minimal* family; probabilities are taken from
-    ``tree`` and the final truncation applies the analyzer's rule
-    (``p > cutoff`` when the cutoff is positive).
-    """
-    probabilities = {
-        name: event.probability for name, event in tree.events.items()
-    }
-    pre = CutSetList.from_cutsets(
-        [frozenset(cutset) for cutset in family], probabilities, minimal=True
-    )
-    cutsets = pre.truncate(cutoff) if cutoff > 0.0 else pre
-    full = tuple(sorted(tuple(sorted(cutset)) for cutset in pre))
-    stats = MocusStats(completed=len(pre), minimal=len(pre))
-    return MocusResult(cutsets, stats=stats, full_cutsets=full)
-
-
-def _complete_family(result: MocusResult) -> tuple[tuple[str, ...], ...]:
-    """The pre-truncation family of a completed (un-truncated) search."""
-    if result.full_cutsets:
-        return result.full_cutsets
-    return tuple(sorted(tuple(sorted(cutset)) for cutset in result.cutsets))
-
-
 def incremental_cutsets(
     tree: FaultTree,
     options: MocusOptions,
@@ -221,7 +187,7 @@ def incremental_cutsets(
         and _structure_key(tree) == _structure_key(previous_tree)
         and _non_increasing(tree, previous_tree)
     ):
-        result = _result_from_family(previous_family, tree, options.cutoff)
+        result = MocusResult.from_family(previous_family, tree, options.cutoff)
         stats = IncrementalStats(
             mode="retruncate", composed_cutsets=len(result.cutsets)
         )
@@ -269,7 +235,7 @@ def _modular(
             result = mocus(subtree, options)
             if result.truncated:  # pragma: no cover - no budget in play
                 return None
-            cutsets = _complete_family(result)
+            cutsets = result.full_cutsets
             probabilities = {
                 n: event.probability for n, event in subtree.events.items()
             }
@@ -307,7 +273,7 @@ def _modular(
     context_result = mocus(context, options)
     if context_result.truncated:  # pragma: no cover - no budget in play
         return None
-    context_family = _complete_family(context_result)
+    context_family = context_result.full_cutsets
     stats.context_cutsets = len(context_family)
 
     composed = _compose(
@@ -321,14 +287,10 @@ def _modular(
     # uniquely determines its context cutset and module selections), so
     # `minimal=False` only re-checks what the theorem guarantees — cheap
     # insurance against a bad module report.
-    probabilities = {
-        name: event.probability for name, event in tree.events.items()
-    }
-    pre = CutSetList.from_cutsets(composed, probabilities, minimal=False)
-    cutsets = pre.truncate(options.cutoff) if options.cutoff > 0.0 else pre
-    full = tuple(sorted(tuple(sorted(cutset)) for cutset in pre))
-    mocus_stats = MocusStats(completed=len(composed), minimal=len(pre))
-    return MocusResult(cutsets, stats=mocus_stats, full_cutsets=full), stats
+    result = MocusResult.from_family(
+        composed, tree, options.cutoff, minimal=False
+    )
+    return result, stats
 
 
 def _compose(

@@ -1,9 +1,8 @@
-"""Dedup planning and largest-first scheduling."""
+"""Model signatures and largest-first scheduling."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.cutset_model import build_cutset_model
-from repro.perf.dedup import DedupPlan
 from repro.perf.fingerprint import model_signature
 from repro.perf.schedule import (
     ESTIMATE_CAP,
@@ -18,51 +17,17 @@ class _FakeTask:
     name: str = ""
 
 
-@dataclass
-class _FakeModel:
-    cutset: frozenset = field(default_factory=frozenset)
-
-
-class TestDedupPlan:
-    def test_groups_by_key_in_first_seen_order(self):
-        plan = DedupPlan()
-        plan.add(("k1",), _FakeModel(frozenset({"a"})))
-        plan.add(("k2",), _FakeModel(frozenset({"b"})))
-        plan.add(("k1",), _FakeModel(frozenset({"c"})))
-        assert [g.key for g in plan.groups] == [("k1",), ("k2",)]
-        assert plan.get(("k1",)).members == [frozenset({"a"}), frozenset({"c"})]
-
-    def test_representative_is_first_member(self):
-        plan = DedupPlan()
-        first = _FakeModel(frozenset({"a"}))
-        plan.add(("k",), first)
-        plan.add(("k",), _FakeModel(frozenset({"b"})))
-        assert plan.get(("k",)).representative is first
-
-    def test_statistics(self):
-        plan = DedupPlan()
-        for name in "abc":
-            plan.add(("shared",), _FakeModel(frozenset({name})))
-        plan.add(("solo",), _FakeModel(frozenset({"d"})))
-        assert plan.n_models == 4
-        assert plan.n_unique == 2
-        assert plan.dedup_ratio == 0.5
-
-    def test_empty_plan(self):
-        plan = DedupPlan()
-        assert plan.n_models == 0
-        assert plan.dedup_ratio == 0.0
-        assert plan.groups == []
-
+class TestSignature:
     def test_real_cutset_models_share_a_signature(self, cooling_sdft):
-        """{b,d} with different static partners → one quantification."""
-        plan = DedupPlan()
-        for static_partner in (frozenset({"b", "d"}), frozenset()):
-            cutset = frozenset({"b", "d"}) | static_partner
-            model = build_cutset_model(cooling_sdft, cutset)
-            plan.add(model_signature(model.model, 24.0), model)
-        assert plan.n_unique == 1
-        assert plan.dedup_ratio == 0.5
+        """Separately built models of {b,d} → one quantification."""
+        signatures = {
+            model_signature(
+                build_cutset_model(cooling_sdft, frozenset({"b", "d"})).model,
+                24.0,
+            )
+            for _ in range(2)
+        }
+        assert len(signatures) == 1
 
 
 class TestSchedule:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from repro.core.analyzer import AnalysisOptions, analyze
 from repro.ft.cutsets import cutset_probability
@@ -10,13 +11,24 @@ from repro.service.edits import ScaleRates, SetProbability
 from repro.service.session import AnalysisSession
 
 
-def test_rate_decrease_uses_retruncate(cooling_sdft, options):
-    session = AnalysisSession(cooling_sdft, options)
-    session.analyze()
-    session.edit(ScaleRates("b", 0.5))
-    session.reanalyze(crosscheck=True)
-    assert session.last_mode == "retruncate"
-    assert session.incremental_runs == 1
+def test_rate_decrease_uses_retruncate(cooling_sdft, options, tmp_path):
+    # Second input, a warm cache: an earlier analysis stores the model's
+    # cutsets, so the session's first analysis takes them from the MOCUS
+    # layer — the family it remembers must still allow the fast path.
+    warm = replace(options, cache_dir=str(tmp_path))
+    analyze(cooling_sdft, warm)
+    for opts in (options, warm):
+        session = AnalysisSession(cooling_sdft, opts)
+        first = session.analyze()
+        restored = [
+            event for event in first.health.events
+            if event.message.startswith("mocus:")
+        ]
+        assert len(restored) == (opts is warm)
+        session.edit(ScaleRates("b", 0.5))
+        session.reanalyze(crosscheck=True)
+        assert session.last_mode == "retruncate"
+        assert session.incremental_runs == 1
 
 
 def test_rate_increase_still_bit_identical(cooling_sdft, options):
