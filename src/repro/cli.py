@@ -109,17 +109,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     analyze_cmd.add_argument(
         "--mc-runs",
+        "--mc-max-runs",
+        dest="mc_runs",
         type=int,
         default=4_000,
-        help="runs per Monte-Carlo fallback simulation (with --degrade)",
-    )
-    analyze_cmd.add_argument(
-        "--mc-max-runs",
-        type=int,
-        default=None,
         metavar="N",
-        help="cap on total trajectories per rare-event estimate "
-        "(defaults to --mc-runs)",
+        help="cap on total trajectories per Monte-Carlo fallback "
+        "estimate (with --degrade; default 4000)",
     )
     analyze_cmd.add_argument(
         "--mc-target-re",
@@ -548,9 +544,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         wall_seconds=args.wall_seconds,
         max_total_states=args.max_total_states,
         budget_cutsets=args.budget_cutsets,
-        monte_carlo_runs=(
-            args.mc_max_runs if args.mc_max_runs is not None else args.mc_runs
-        ),
+        monte_carlo_runs=args.mc_runs,
         mc_target_rel_error=args.mc_target_re,
         mc_engine=args.mc_engine,
         checkpoint_path=args.checkpoint,

@@ -20,15 +20,14 @@ evaluates the tree with all timing ignored.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.classify import classification_report
 from repro.core.cutset_model import build_cutset_model
 from repro.core.quantify import (
     McsQuantification,
     QuantificationCache,
-    quantify_cutset,
     quantify_model,
 )
 from repro.core.results import AnalysisResult, PerfStats, Timings, served_interval
@@ -287,21 +286,26 @@ class AnalysisOptions:
 
 @dataclass
 class AnalysisReuse:
-    """Work carried between runs of the same pipeline (the session hook).
+    """Work carried into and out of one :func:`analyze` run.
 
-    :class:`repro.service.session.AnalysisSession` passes one of these
-    into :func:`analyze` to (a) inject cutsets it already proved
-    equivalent to a fresh MOCUS search and a solve store from the
-    previous run, and (b) capture this run's artifacts for the *next*
-    incremental step.  ``analyze(sdft)`` without a reuse hook is the
-    unchanged one-shot pipeline.
+    The one reuse hook of the pipeline: an
+    :class:`~repro.service.session.AnalysisSession` re-analysing an
+    edited model, :func:`~repro.core.sensitivity.rate_sensitivity`
+    analysing a perturbed one and :func:`analyze_curve` analysing one
+    model at several horizons all re-run :func:`analyze` through it.
+    It (a) injects work the caller already holds — a translation,
+    cutsets proved equivalent to a fresh MOCUS search, a solve store,
+    records an edit left valid — and (b) captures this run's artifacts
+    for the caller's next step.  ``analyze(sdft)`` without a reuse hook
+    is the unchanged one-shot pipeline; injected work never changes a
+    computed value.  Callers inject only when :func:`reuse_applies`.
 
     Injected inputs
     ---------------
     ``translation`` — a pre-computed
     :class:`~repro.core.to_static.StaticTranslation` of *this* model at
-    *this* horizon (the session computes it to diff trees; recomputing
-    it would redo every worst-case chain solve).
+    *this* horizon (the caller needs it to build or diff the cutset
+    list; recomputing it would redo every worst-case chain solve).
     ``cutsets`` — a pre-computed :class:`MocusResult` substituted for
     the MOCUS stage (the caller vouches it is element-for-element what
     the search would return; see :mod:`repro.service.incremental`).
@@ -309,12 +313,11 @@ class AnalysisReuse:
     priming the in-memory :class:`QuantificationCache`, so only cutsets
     whose ``FT_C`` content fingerprint changed are re-solved.  Both
     ``jobs`` settings consult the primed store before solving.
-    ``records`` — ``cutset -> McsQuantification`` records the caller
-    proved untouched by the edit (unchanged gate/trigger skeleton, no
-    dirty event among the record's ``dependencies``).  They are served
-    through the same checked-restore path checkpoint resume uses —
-    skipping even the ``FT_C`` model build — and re-validated against
-    this run's invariants.
+    ``records`` — ``cutset -> McsQuantification`` records of an earlier
+    run that :func:`reusable_records` proved valid for this model.
+    They are served through the same checked-restore path checkpoint
+    resume uses — skipping even the ``FT_C`` model build — and
+    re-validated against this run's invariants.
 
     Captured outputs (filled by :func:`analyze`)
     --------------------------------------------
@@ -331,6 +334,94 @@ class AnalysisReuse:
     out_translation: "object | None" = None
     out_mocus: "MocusResult | None" = None
     out_solves: "dict[tuple, tuple[float, int]] | None" = None
+
+
+def reuse_applies(opts: AnalysisOptions) -> bool:
+    """Whether a run under ``opts`` may take caller-built artifacts.
+
+    Simplification rewrites the model between the caller's view and the
+    pipeline's, so an injected translation, cutset list or record would
+    target the wrong tree; checkpoint and resume frames own the cutset
+    list.  (A solve store is content-addressed and always applies.)
+    """
+    return not opts.simplify and not opts.resume and opts.checkpoint_path is None
+
+
+def derived_run_options(opts: AnalysisOptions) -> AnalysisOptions:
+    """``opts`` for the inner :func:`analyze` runs of a derived analysis.
+
+    :func:`analyze_curve` and
+    :func:`~repro.core.sensitivity.rate_sensitivity` run :func:`analyze`
+    more than once under one caller's options.  The per-run outputs —
+    ``trace_path``, ``checkpoint_path`` and ``resume`` — name files of
+    one run, so they are dropped: forwarded, each inner run would
+    overwrite the caller's trace or own its checkpoint.
+    """
+    return replace(opts, trace_path=None, checkpoint_path=None, resume=False)
+
+
+#: Rungs whose records a later run may reuse.  Skipped, Monte Carlo and
+#: ladder-bound records are products of one run's budget pressure or
+#: faults: a fresh run would do better.
+_REUSABLE_RUNGS = ("exact", "lumped")
+
+
+def reusable_records(
+    model: SdFaultTree,
+    base: SdFaultTree,
+    records: "Iterable[McsQuantification]",
+) -> "dict[frozenset, McsQuantification]":
+    """The ``records`` of an analysis of ``base`` still valid for ``model``.
+
+    The one record-validity rule of the pipeline's callers.  A record's
+    ``dependencies`` name every event whose content its value reads —
+    the cutset's own events and every event its ``FT_C`` reads through
+    a trigger gate.  With the gate/trigger skeleton unchanged and no
+    changed event among them, re-quantifying would rebuild the
+    identical ``FT_C`` and produce the identical value.  Any structural
+    edit invalidates every record.  Horizon, cutoff and solver options
+    are the caller's to hold fixed between the two runs.
+    """
+    if _skeleton(model) != _skeleton(base):
+        return {}
+    dirty = _changed_events(model, base)
+    return {
+        record.cutset: record
+        for record in records
+        if record.rung in _REUSABLE_RUNGS
+        and record.dependencies
+        and not dirty.intersection(record.dependencies)
+    }
+
+
+def _skeleton(model: SdFaultTree) -> tuple:
+    """Everything record reuse requires to be *unchanged* except event
+    content: the gate/trigger wiring and the static/dynamic partition.
+    """
+    return (
+        model.top,
+        frozenset(model.static_events),
+        frozenset(model.dynamic_events),
+        tuple(
+            sorted(
+                (name, gate.gate_type.value, gate.children, gate.k)
+                for name, gate in model.structure.gates.items()
+            )
+        ),
+        tuple(sorted((g, tuple(e)) for g, e in model.triggers.items())),
+    )
+
+
+def _changed_events(model: SdFaultTree, base: SdFaultTree) -> set[str]:
+    """Events whose *content* differs between two same-skeleton models."""
+    changed: set[str] = set()
+    for name, event in model.static_events.items():
+        if event.probability != base.static_events[name].probability:
+            changed.add(name)
+    for name, dyn in model.dynamic_events.items():
+        if dyn.chain.fingerprint() != base.dynamic_events[name].chain.fingerprint():
+            changed.add(name)
+    return changed
 
 
 def with_mocus_overrides(tree: "FaultTree", opts: AnalysisOptions) -> "FaultTree":
@@ -359,9 +450,8 @@ def analyze(
     that deviated from the clean path is enumerated in the result's
     :attr:`~repro.core.results.AnalysisResult.health` report.
 
-    ``reuse`` is the incremental-analysis hook of
-    :class:`repro.service.session.AnalysisSession` — see
-    :class:`AnalysisReuse`.  Supplying it bypasses the whole-result
+    ``reuse`` is the reuse hook of sessions, sensitivity and curves —
+    see :class:`AnalysisReuse`.  Supplying it bypasses the whole-result
     records cache (the point is to run the pipeline and capture its
     artifacts), but never changes any computed value.
     """
@@ -1535,47 +1625,46 @@ def analyze_curve(
 ) -> dict[float, float]:
     """Failure probability as a function of the mission time.
 
-    Evaluates ``Pr[Reach^{<=t}(F)]`` for every horizon in ``horizons``
-    over a *single* cutset list: the list is generated once at the
-    largest horizon, where the worst-case probabilities — monotone in
-    ``t`` — are largest, so no cutset relevant at any requested horizon
-    is missed.  Per-horizon quantification reuses the shared chain-solve
-    cache, which makes a 10-point curve cost far less than 10 analyses.
+    Each point is what :func:`analyze` serves at that horizon — same
+    verification, lumping, served method and MCUB rules — for a cutset
+    list shared across horizons: MOCUS runs once, at the widest
+    horizon, where the worst-case probabilities (monotone in ``t``) are
+    largest, so its family holds every cutset above the cutoff at any
+    requested horizon.  Every other horizon re-truncates that family
+    over its own translation and re-runs :func:`analyze` through
+    :class:`AnalysisReuse`.  ``options`` apply to every point except
+    the per-run outputs (see :func:`derived_run_options`).
     """
     if not horizons:
         return {}
-    opts = options or AnalysisOptions()
-    widest = max(horizons)
     if min(horizons) < 0.0:
         raise ValueError(f"horizons must be non-negative, got {sorted(horizons)}")
-
-    translation = to_static(sdft, widest)
-    cutsets = mocus(
-        with_mocus_overrides(translation.tree, opts),
-        MocusOptions(cutoff=opts.cutoff, max_partials=opts.max_partials),
-    ).cutsets
-
-    classes = classification_report(sdft).by_gate
-    cache = QuantificationCache()
-    curve: dict[float, float] = {}
-    for horizon in sorted(set(horizons)):
-        total = 0.0
-        for cutset in cutsets:
-            record = quantify_cutset(
-                sdft,
-                cutset,
-                horizon,
-                classes=classes,
-                cache=cache,
-                epsilon=opts.epsilon,
-                max_chain_states=opts.max_chain_states,
-                on_oversize=opts.on_oversize,
-                lump_chains=opts.lump_chains,
+    opts = derived_run_options(options or AnalysisOptions())
+    *narrower, widest = sorted(set(horizons))
+    shared = AnalysisReuse()
+    curve = {
+        widest: analyze(
+            sdft, replace(opts, horizon=widest), reuse=shared
+        ).failure_probability
+    }
+    family = None
+    if reuse_applies(opts) and not shared.out_mocus.truncated:
+        family = shared.out_mocus.full_cutsets
+    for horizon in narrower:
+        point = replace(opts, horizon=horizon)
+        reuse = None
+        if family is not None:
+            translation = to_static(sdft, horizon)
+            reuse = AnalysisReuse(
+                translation=translation,
+                cutsets=MocusResult.from_family(
+                    family,
+                    with_mocus_overrides(translation.tree, point),
+                    opts.cutoff,
+                ),
             )
-            if record.probability > opts.cutoff:
-                total += record.probability
-        curve[horizon] = total
-    return curve
+        curve[horizon] = analyze(sdft, point, reuse=reuse).failure_probability
+    return dict(sorted(curve.items()))
 
 
 def analyze_exact(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.analyzer import AnalysisOptions
+from repro.core.analyzer import AnalysisOptions, with_mocus_overrides
 from repro.core.classify import classification_report
 from repro.core.cutset_model import build_cutset_model
 from repro.core.sdft import SdFaultTree
@@ -29,6 +29,7 @@ from repro.core.to_static import to_static
 from repro.ctmc.analysis import expected_downtime
 from repro.ctmc.product import build_product
 from repro.ft.mocus import MocusOptions, mocus
+from repro.perf.fingerprint import model_signature
 
 __all__ = ["DowntimeResult", "analyze_expected_downtime", "exact_expected_downtime"]
 
@@ -61,12 +62,14 @@ def analyze_expected_downtime(
 
     A static cutset is either down for the whole mission (all its events
     failed at time 0) or never, contributing ``prod p(a) * horizon``;
-    a dynamic cutset contributes its chain's downtime integral.
+    a dynamic cutset contributes its chain's downtime integral.  The
+    cutset list is the one :func:`~repro.core.analyzer.analyze`
+    quantifies, ``mocus_probability_overrides`` included.
     """
     opts = options or AnalysisOptions()
     translation = to_static(sdft, opts.horizon)
     cutsets = mocus(
-        translation.tree,
+        with_mocus_overrides(translation.tree, opts),
         MocusOptions(cutoff=opts.cutoff, max_partials=opts.max_partials),
     ).cutsets
     classes = classification_report(sdft).by_gate
@@ -81,7 +84,7 @@ def analyze_expected_downtime(
         if model.model is None:
             contributions[cutset] = model.static_factor * opts.horizon
             continue
-        key = _signature(model.model, opts.horizon)
+        key = model_signature(model.model, opts.horizon)
         if key not in cache:
             product = build_product(model.model, max_states=opts.max_chain_states)
             cache[key] = expected_downtime(product.chain, opts.horizon)
@@ -96,19 +99,3 @@ def exact_expected_downtime(
     """Exact expected top-event downtime via the full product chain."""
     product = build_product(sdft, max_states=max_states)
     return expected_downtime(product.chain, horizon)
-
-
-def _signature(model: "SdFaultTree", horizon: float) -> tuple:
-    gates = tuple(
-        (g.name, g.gate_type.value, g.children, g.k)
-        for g in sorted(model.gates.values(), key=lambda g: g.name)
-    )
-    dynamic = tuple(
-        (name, id(event.chain)) for name, event in sorted(model.dynamic_events.items())
-    )
-    static = tuple(
-        (name, event.probability)
-        for name, event in sorted(model.static_events.items())
-    )
-    triggers = tuple(sorted((g, tuple(e)) for g, e in model.triggers.items()))
-    return (gates, dynamic, static, triggers, horizon)

@@ -254,7 +254,9 @@ def quantify_model(
     if key is not None:
         found = cache.get(key)
         if found is not None:
-            return _dynamic_record(model, found[0], found[1], 0.0, cache_hit=True)
+            return _dynamic_record(
+                model, found[0], found[1], 0.0, rung, cache_hit=True
+            )
         solved = cache.solved(key, (epsilon, max_chain_states, lump_chains))
         if solved is not None:
             # A pool worker or a prior run (disk) already solved this

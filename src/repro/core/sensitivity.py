@@ -4,11 +4,15 @@ Importance and uncertainty analyses (paper, concluding remark) ask how
 the result moves when a parameter moves.  For static events the static
 machinery answers exactly (:mod:`repro.ft.importance`); dynamic events
 are parameterised by *rates*, so this module provides rate sensitivity
-by finite differences over the quantified cutset list:
+by finite differences:
 
-* only cutsets containing the perturbed event are re-quantified — the
-  rest of the list is reused, exactly the cheap re-evaluation the
-  decomposition enables;
+* the perturbed model is re-analysed by
+  :func:`~repro.core.analyzer.analyze` itself, reusing every base
+  record :func:`~repro.core.analyzer.reusable_records` proves
+  untouched — only the cutsets whose ``FT_C`` reads the perturbed
+  event are re-quantified, exactly the cheap re-evaluation the
+  decomposition enables, and the perturbed value is what a cold
+  analysis of the perturbed model serves;
 * the reported measure is the normalised elasticity
   ``(dP / P) / (dλ / λ)`` — how many percent the failure probability
   moves per percent of rate change — which is scale-free and comparable
@@ -17,14 +21,18 @@ by finite differences over the quantified cutset list:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.core.analyzer import AnalysisOptions
-from repro.core.quantify import QuantificationCache, quantify_cutset
+from repro.core.analyzer import (
+    AnalysisOptions,
+    AnalysisReuse,
+    analyze,
+    derived_run_options,
+    reusable_records,
+    reuse_applies,
+)
 from repro.core.results import AnalysisResult
-from repro.core.sdft import SdFaultTree, SdFaultTreeBuilder
-from repro.ctmc.chain import Ctmc
-from repro.ctmc.triggered import TriggeredCtmc
+from repro.core.sdft import SdFaultTree
 from repro.errors import UnknownNodeError
 
 __all__ = ["RateSensitivity", "rate_sensitivity"]
@@ -35,8 +43,8 @@ class RateSensitivity:
     """Finite-difference sensitivity of the failure probability.
 
     ``elasticity`` is ``(dP/P) / (dλ/λ)``; ``perturbed_probability`` is
-    the full rare-event sum with the event's rates scaled by
-    ``1 + relative_step``.
+    the failure probability :func:`~repro.core.analyzer.analyze` serves
+    with the event's rates scaled by ``1 + relative_step``.
     """
 
     event: str
@@ -67,70 +75,34 @@ def rate_sensitivity(
     Scales *all* transition rates of the event's chain by
     ``1 + relative_step`` (failure and repair alike — the chain is the
     parameter object; to study failure rates alone, build a perturbed
-    chain explicitly and swap it in).  Only the cutsets containing the
-    event are re-quantified.
+    chain explicitly and swap it in).  ``options`` are the options
+    ``result`` was produced under, at ``result``'s horizon and cutoff;
+    its per-run outputs are not forwarded (see
+    :func:`~repro.core.analyzer.derived_run_options`).  MOCUS searches
+    the perturbed model afresh; only the cutsets whose ``FT_C`` reads
+    the event are re-quantified.
     """
+    from repro.service.edits import ScaleRates, apply_edits
+
     if event_name not in sdft.dynamic_events:
         raise UnknownNodeError(
             f"{event_name!r} is not a dynamic basic event of the model"
         )
-    opts = options or AnalysisOptions(horizon=result.horizon, cutoff=result.cutoff)
-    perturbed = _with_scaled_rates(sdft, event_name, 1.0 + relative_step)
-
-    cache = QuantificationCache()
-    total = 0.0
-    for record in result.records:
-        if event_name not in record.cutset:
-            if record.probability > result.cutoff:
-                total += record.probability
-            continue
-        requantified = quantify_cutset(
-            perturbed,
-            record.cutset,
-            result.horizon,
-            cache=cache,
-            epsilon=opts.epsilon,
-            max_chain_states=opts.max_chain_states,
-            on_oversize=opts.on_oversize,
+    opts = derived_run_options(
+        replace(
+            options or AnalysisOptions(), horizon=result.horizon, cutoff=result.cutoff
         )
-        if requantified.probability > result.cutoff:
-            total += requantified.probability
-    return RateSensitivity(
-        event_name, result.failure_probability, total, relative_step
     )
-
-
-def _with_scaled_rates(
-    sdft: SdFaultTree, event_name: str, factor: float
-) -> SdFaultTree:
-    """A copy of the model with one event's chain rates scaled."""
-    original = sdft.dynamic_events[event_name].chain
-    scaled_rates = {
-        transition: rate * factor for transition, rate in original.rates.items()
-    }
-    if isinstance(original, TriggeredCtmc):
-        scaled: Ctmc = TriggeredCtmc(
-            original.states,
-            original.initial,
-            scaled_rates,
-            original.failed,
-            original.on_states,
-            original.switch_on,
-            original.switch_off,
+    perturbed = apply_edits(sdft, [ScaleRates(event_name, 1.0 + relative_step)])
+    reuse = None
+    if reuse_applies(opts):
+        reuse = AnalysisReuse(
+            records=reusable_records(perturbed, sdft, result.records)
         )
-    else:
-        scaled = Ctmc(
-            original.states, original.initial, scaled_rates, original.failed
-        )
-
-    b = SdFaultTreeBuilder(f"{sdft.name}#sens-{event_name}")
-    for event in sdft.static_events.values():
-        b.static_event(event.name, event.probability, event.description)
-    for event in sdft.dynamic_events.values():
-        chain = scaled if event.name == event_name else event.chain
-        b.dynamic_event(event.name, chain, event.description)
-    for gate in sdft.gates.values():
-        b.gate(gate.name, gate.gate_type, gate.children, gate.k, gate.description)
-    for gate_name, events in sdft.triggers.items():
-        b.trigger(gate_name, *events)
-    return b.build(sdft.top)
+    perturbed_result = analyze(perturbed, opts, reuse=reuse)
+    return RateSensitivity(
+        event_name,
+        result.failure_probability,
+        perturbed_result.failure_probability,
+        relative_step,
+    )

@@ -36,12 +36,14 @@ pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.core.analyzer import (
     AnalysisOptions,
     AnalysisReuse,
     analyze,
+    reusable_records,
+    reuse_applies,
     with_mocus_overrides,
 )
 from repro.core.quantify import McsQuantification
@@ -139,45 +141,9 @@ class _RunArtifacts:
     tree: "object | None"  # translation tree used for MOCUS
     family: tuple[tuple[str, ...], ...]
     solves: dict[tuple, tuple[float, int]]
-    #: The SD model those records quantified (dirty-set diff base).
-    sdft: SdFaultTree | None = None
-    #: Deterministic-rung records of the previous run, by cutset.
-    records: "dict[frozenset, McsQuantification]" = field(
-        default_factory=dict
-    )
-
-
-def _skeleton(model: SdFaultTree) -> tuple:
-    """Everything record reuse requires to be *unchanged* except event
-    content: the gate/trigger wiring and the static/dynamic partition.
-    """
-    return (
-        model.top,
-        frozenset(model.static_events),
-        frozenset(model.dynamic_events),
-        tuple(
-            sorted(
-                (name, gate.gate_type.value, gate.children, gate.k)
-                for name, gate in model.structure.gates.items()
-            )
-        ),
-        tuple(sorted((g, tuple(e)) for g, e in model.triggers.items())),
-    )
-
-
-def _dirty_events(model: SdFaultTree, previous: SdFaultTree) -> set[str]:
-    """Events whose *content* changed between two same-skeleton models."""
-    dirty: set[str] = set()
-    for name, event in model.static_events.items():
-        if event.probability != previous.static_events[name].probability:
-            dirty.add(name)
-    for name, dyn in model.dynamic_events.items():
-        if (
-            dyn.chain.fingerprint()
-            != previous.dynamic_events[name].chain.fingerprint()
-        ):
-            dirty.add(name)
-    return dirty
+    #: The SD model those records quantified (the record-validity base).
+    sdft: SdFaultTree
+    records: tuple[McsQuantification, ...]
 
 
 class AnalysisSession:
@@ -273,7 +239,7 @@ class AnalysisSession:
         opts = self._run_options(deadline_seconds)
         reuse = AnalysisReuse(solves=self._primed_solves())
         mode = "full"
-        if self._incremental_applicable(opts):
+        if reuse_applies(opts):
             translation = to_static(self.model, opts.horizon)
             previous = self._previous
             found = incremental_cutsets(
@@ -291,7 +257,10 @@ class AnalysisSession:
                 reuse.cutsets = mocus_result
                 reuse.note = stats.summary()
                 mode = stats.mode
-            reuse.records = self._reusable_records()
+            if previous is not None:
+                reuse.records = reusable_records(
+                    self.model, previous.sdft, previous.records
+                )
         result = analyze(self.model, opts, reuse=reuse)
         self._remember(reuse, result, mode=mode)
         if mode != "full":
@@ -351,37 +320,6 @@ class AnalysisSession:
             return None
         return dict(self._previous.solves)
 
-    def _reusable_records(self) -> "dict[frozenset, McsQuantification] | None":
-        """Previous records provably untouched by the edits since then.
-
-        Sound only when the gate/trigger skeleton is unchanged: a
-        record's ``dependencies`` name every event whose content its
-        value reads, so with the skeleton fixed and no dirty event among
-        them, re-quantifying would rebuild the identical ``FT_C`` and
-        produce the identical value.  Any structural edit disables
-        record reuse wholesale (solve-store priming still applies — it
-        is content-addressed and cannot go stale).
-        """
-        previous = self._previous
-        if previous is None or previous.sdft is None or not previous.records:
-            return None
-        if _skeleton(self.model) != _skeleton(previous.sdft):
-            return None
-        dirty = _dirty_events(self.model, previous.sdft)
-        reusable = {
-            cutset: record
-            for cutset, record in previous.records.items()
-            if not dirty.intersection(record.dependencies)
-        }
-        return reusable or None
-
-    def _incremental_applicable(self, opts: AnalysisOptions) -> bool:
-        # Simplification rewrites the model between the session's view
-        # and the pipeline's; injecting session-computed artifacts would
-        # target the wrong tree.  Checkpoint/resume frames own the
-        # cutset list too.  Overrides *are* supported (applied above).
-        return not opts.simplify and not opts.resume and opts.checkpoint_path is None
-
     def _remember(
         self, reuse: AnalysisReuse, result: AnalysisResult, mode: str
     ) -> None:
@@ -408,23 +346,16 @@ class AnalysisSession:
             if translation is not None:
                 tree = with_mocus_overrides(translation.tree, self.options)
         # Records do not accumulate across edits (unlike the solve
-        # store): the dirty-set diff is computed against the one model
-        # the records came from, so only the latest complete list is
-        # kept.  Non-deterministic rungs (skipped, monte_carlo, bound
-        # via ladder descent) are products of budget pressure or faults
-        # of *that* run — a fresh run would do better, so never reuse.
-        records = {
-            record.cutset: record
-            for record in result.records
-            if record.rung in ("exact", "lumped") and record.dependencies
-        }
-        if tree is not None or solves or records:
+        # store): validity is decided against the one model the records
+        # came from (:func:`reusable_records`), so only the latest
+        # complete list is kept.
+        if tree is not None or solves or result.records:
             self._previous = _RunArtifacts(
                 tree=tree,
                 family=family,
                 solves=solves,
                 sdft=self.model,
-                records=records,
+                records=result.records,
             )
 
 

@@ -46,6 +46,19 @@ class TestAgainstExact:
         assert result.per_cutset[frozenset({"e"})] == pytest.approx(3e-6 * 24.0)
         assert result.per_cutset[frozenset({"a", "c"})] == pytest.approx(9e-6 * 24.0)
 
+    def test_mocus_overrides_shape_the_cutset_list(self, cooling_sdft):
+        """The cutset list is the one ``analyze()`` quantifies: an override
+        pushing ``e`` under the cutoff removes the cutset ``{e}``."""
+        from repro.core.analyzer import analyze
+
+        options = AnalysisOptions(
+            horizon=24.0, cutoff=1e-7, mocus_probability_overrides={"e": 1e-9}
+        )
+        result = analyze_expected_downtime(cooling_sdft, options)
+        analysed = analyze(cooling_sdft, options)
+        assert frozenset({"e"}) not in result.per_cutset
+        assert set(result.per_cutset) == {r.cutset for r in analysed.records}
+
 
 class TestRepairEffect:
     def _pair(self, repair_rate: float):

@@ -52,3 +52,23 @@ class TestLumpedQuantification:
         # Absorbing at the all-failed state: w-count 0..3 minus merged
         # absorbing states; at most 4 blocks.
         assert lumped.chain_states <= 4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cache_hits_carry_the_lumped_rung(self, jobs):
+        """``{s1, x}`` and ``{s2, x}`` share one ``FT_C`` signature, so the
+        second is a cache hit; it is still a lumped value."""
+        b = SdFaultTreeBuilder("shared-signature")
+        b.static_event("s1", 1e-2).static_event("s2", 2e-2)
+        b.dynamic_event("x", repairable(0.01, 0.1))
+        b.or_("either", "s1", "s2")
+        b.and_("top", "either", "x")
+        result = analyze(
+            b.build("top"),
+            AnalysisOptions(horizon=24.0, lump_chains=True, jobs=jobs),
+        )
+        dynamic = [
+            r for r in result.records if r.is_dynamic and not r.trivially_zero
+        ]
+        assert len(dynamic) == 2
+        assert result.cache_hits == 1
+        assert {r.rung for r in dynamic} == {"lumped"}

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.analyzer import AnalysisOptions, analyze
+from repro.core.analyzer import AnalysisOptions, analyze, reusable_records
 from repro.errors import CrosscheckError, InjectedFaultError, ServiceError
 from repro.robust import faults
 from repro.service.edits import (
@@ -64,11 +64,11 @@ def test_reanalyze_is_bit_identical_to_cold(cooling_sdft, options, edit):
 
 def test_record_reuse_skips_clean_cutsets(cooling_sdft, options):
     session = AnalysisSession(cooling_sdft, options)
-    session.analyze()
+    base = session.analyze()
     session.edit(SetProbability("e", 5e-6))
-    reusable = session._reusable_records()
+    reusable = reusable_records(session.model, cooling_sdft, base.records)
     # {e} is dirty; every other cooling cutset is provably untouched.
-    assert reusable is not None
+    assert reusable
     assert frozenset({"e"}) not in reusable
     assert frozenset({"a", "c"}) in reusable
     assert all("e" not in r.dependencies for r in reusable.values())
@@ -76,9 +76,9 @@ def test_record_reuse_skips_clean_cutsets(cooling_sdft, options):
 
 def test_structural_edit_disables_record_reuse(cooling_sdft, options):
     session = AnalysisSession(cooling_sdft, options)
-    session.analyze()
+    base = session.analyze()
     session.edit(SetGate("pumps", "or", ("pump1", "pump2")))
-    assert session._reusable_records() is None
+    assert reusable_records(session.model, cooling_sdft, base.records) == {}
     # ... but the run itself still agrees with cold analysis.
     session.reanalyze(crosscheck=True)
 

@@ -137,6 +137,15 @@ class TestAnalyzeFlags:
         assert main(["analyze", sd_model_file, "--bounds"]) == 0
         assert "failure probability" in capsys.readouterr().out
 
+    def test_mc_runs_spellings_set_one_value(self):
+        from repro.cli import _build_parser
+
+        parser = _build_parser()
+        for flag in ("--mc-runs", "--mc-max-runs"):
+            args = parser.parse_args(["analyze", "m.json", flag, "7"])
+            assert args.mc_runs == 7
+        assert parser.parse_args(["analyze", "m.json"]).mc_runs == 4_000
+
 
 class TestErrors:
     def test_missing_file_is_clean_error(self, capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.analyzer import AnalysisOptions, analyze, analyze_curve
+from repro.core.sdft import SdFaultTreeBuilder
 from repro.errors import ModelError
 from repro.eventtree.study import Study
 from repro.eventtree.tree import EventTreeBuilder
@@ -10,13 +11,35 @@ from repro.eventtree.tree import EventTreeBuilder
 
 class TestAnalyzeCurve:
     def test_matches_individual_analyses(self, cooling_sdft):
+        """Each point is exactly what ``analyze()`` serves at that horizon,
+        on a dynamic model and on a static one served by the BDD engine."""
+        b = SdFaultTreeBuilder("static-five")
+        for name, probability in (
+            ("a", 3e-2), ("b", 2e-2), ("c", 3e-2), ("d", 2e-2), ("e", 3e-4)
+        ):
+            b.static_event(name, probability)
+        b.or_("ab", "a", "b").or_("cd", "c", "d")
+        b.and_("both", "ab", "cd").or_("top", "both", "e")
+        static_sdft = b.build("top")
         horizons = [6.0, 24.0, 96.0]
-        curve = analyze_curve(cooling_sdft, horizons)
-        for horizon in horizons:
-            individual = analyze(
-                cooling_sdft, AnalysisOptions(horizon=horizon)
-            ).failure_probability
-            assert curve[horizon] == pytest.approx(individual, rel=1e-6)
+        for sdft in (cooling_sdft, static_sdft):
+            curve = analyze_curve(sdft, horizons)
+            for horizon in horizons:
+                individual = analyze(
+                    sdft, AnalysisOptions(horizon=horizon)
+                ).failure_probability
+                assert curve[horizon] == individual
+
+    def test_per_run_outputs_not_forwarded(self, cooling_sdft, tmp_path):
+        """A trace or checkpoint path names one run's files; the curve's
+        inner runs write neither."""
+        options = AnalysisOptions(
+            trace_path=str(tmp_path / "t.jsonl"),
+            checkpoint_path=str(tmp_path / "run.ckpt"),
+        )
+        curve = analyze_curve(cooling_sdft, [6.0, 24.0], options)
+        assert list(tmp_path.iterdir()) == []
+        assert curve == analyze_curve(cooling_sdft, [6.0, 24.0])
 
     def test_monotone_nondecreasing(self, cooling_sdft):
         curve = analyze_curve(cooling_sdft, [1.0, 12.0, 48.0, 200.0])
@@ -58,8 +81,6 @@ class TestStudy:
     @pytest.fixture
     def wrapped_sdft(self, cooling_sdft):
         """The cooling SD model with a wrapper gate for the tank."""
-        from repro.core.sdft import SdFaultTreeBuilder
-
         b = SdFaultTreeBuilder("cooling+wrap")
         for event in cooling_sdft.static_events.values():
             b.static_event(event.name, event.probability)
