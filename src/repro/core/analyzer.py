@@ -220,7 +220,7 @@ class AnalysisOptions:
       highlights are rendered by the run summary.
 
     Either knob enables collection; both off (the default) costs
-    nearly nothing (see ``benchmarks/bench_obs_overhead.py``).  The
+    nearly nothing (``tests/obs/test_overhead.py`` asserts ≤2%).  The
     collected quantities never influence analysis values, and the
     analysis-derived metrics are identical across ``jobs`` settings.
     """
@@ -642,8 +642,9 @@ def _records_options_key(opts: AnalysisOptions) -> tuple:
     ``jobs``, tracing, verification mode and checkpoint knobs are
     deliberately absent: the determinism contract says they never change
     analysis values, so a result computed under any of them answers all
-    of them.  (Budgeted or checkpointed runs are not *stored* at all —
-    see :func:`_persist`.)
+    of them.  ``static_engine`` enters only as "mcs or not": ``"auto"``
+    and ``"bdd"`` run the same code.  (Budgeted or checkpointed runs are
+    not *stored* at all — see :func:`_persist`.)
     """
     overrides = None
     if opts.mocus_probability_overrides:
@@ -665,7 +666,7 @@ def _records_options_key(opts: AnalysisOptions) -> tuple:
         opts.monte_carlo_seed,
         repr(opts.mc_target_rel_error),
         opts.mc_engine,
-        opts.static_engine,
+        opts.static_engine == "mcs",
         opts.bdd_node_budget,
         opts.simplify,
     )

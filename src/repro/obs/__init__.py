@@ -21,7 +21,7 @@ generation (Sections V-C and VI).  This package makes that profile
 Disabled observability is the default and costs nearly nothing: hot
 loops aggregate into local counters and emit once per solve or per run,
 and the null tracer/registry are shared singletons whose methods are
-empty (``benchmarks/bench_obs_overhead.py`` asserts the ≤2% bound on
+empty (``tests/obs/test_overhead.py`` asserts the ≤2% bound on
 the quantification hot loop).
 """
 

@@ -15,7 +15,7 @@ series aggregate into local variables (they already did, for their own
 stats) and emit **once per run or per solve**.  That, plus the shared
 no-op :data:`NULL_METRICS` singleton, is what keeps the disabled-path
 overhead under the 2% budget asserted by
-``benchmarks/bench_obs_overhead.py``.
+``tests/obs/test_overhead.py``.
 
 Worker processes run their own registry and ship
 :meth:`MetricsRegistry.snapshot` dictionaries back with their results;

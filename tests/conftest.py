@@ -64,3 +64,17 @@ def cooling_sdft():
     b.or_("cooling", "pumps", "e")
     b.trigger("pump1", "d")
     return b.build("cooling")
+
+
+@pytest.fixture
+def bwr_study():
+    """The BWR study as the performance benchmark analyses it.
+
+    All six trigger stages and repair rate 0.05 (``perfbench``'s base
+    model); at horizon 24 h and cutoff 1e-15 it has 3981 cutsets and a
+    cold analysis takes seconds, which makes it the scale at which the
+    speedup floors and overhead budgets are asserted.
+    """
+    from repro.models.bwr import TRIGGER_STAGES, BwrConfig, build_bwr
+
+    return build_bwr(BwrConfig(repair_rate=0.05, triggers=TRIGGER_STAGES))

@@ -7,9 +7,14 @@ import math
 import pytest
 
 from repro.bdd.ft_bdd import exact_probability
+from repro.bdd.quantify import quantify_static_tree
 from repro.core.analyzer import AnalysisOptions, analyze
 from repro.core.sdft import SdFaultTree
+from repro.core.to_static import to_static
 from repro.ft.builder import FaultTreeBuilder
+from repro.ft.mocus import MocusOptions, mocus
+from repro.models.bwr import BwrConfig, build_bwr
+from repro.service.session import assert_bit_identical
 
 HORIZON = 24.0
 
@@ -85,6 +90,15 @@ class TestBddEngine:
         assert math.isclose(
             mcs.failure_probability, bdd.failure_probability, rel_tol=1e-2
         )
+        # The same bracket at scale, on the trigger-free BWR translation.
+        for model in (sdft, build_bwr(BwrConfig(triggers=()))):
+            tree = to_static(model, HORIZON).tree
+            exact = quantify_static_tree(tree).probability
+            cutsets = mocus(tree, MocusOptions(cutoff=1e-12)).cutsets
+            estimate, _ = cutsets.sound_estimate()
+            slack = 1e-9 * max(1.0, exact)
+            assert cutsets.largest_cutset_probability() <= exact + slack
+            assert exact <= estimate + slack
 
     def test_budget_trip_falls_back_to_cutsets(self):
         result = analyze(
@@ -197,3 +211,23 @@ class TestRecordsCacheRoundTrip:
         assert second.failure_probability == first.failure_probability
         assert second.bdd_nodes == first.bdd_nodes
         assert second.bdd_ordering == first.bdd_ordering
+
+    def test_auto_and_bdd_share_a_record_set(self, tmp_path):
+        """``"auto"`` and ``"bdd"`` run the same code, so one answers both."""
+        sdft = build_bwr(BwrConfig(dynamic=False))
+        first = analyze(
+            sdft,
+            AnalysisOptions(
+                horizon=HORIZON, static_engine="auto", cache_dir=str(tmp_path)
+            ),
+        )
+        second = analyze(
+            sdft,
+            AnalysisOptions(
+                horizon=HORIZON, static_engine="bdd", cache_dir=str(tmp_path)
+            ),
+        )
+        assert any(
+            "full-result hit" in e.message for e in second.health.events
+        )
+        assert_bit_identical(second, first)

@@ -219,13 +219,19 @@ class TestAnalyzerVerify:
             analyze(cooling_sdft, AnalysisOptions(verify="always"))
 
     @pytest.mark.parametrize("mode", ["cheap", "full"])
-    def test_verified_run_matches_unverified(self, cooling_sdft, mode):
-        baseline = analyze(cooling_sdft, AnalysisOptions(horizon=HORIZON))
-        verified = analyze(
-            cooling_sdft, AnalysisOptions(horizon=HORIZON, verify=mode)
-        )
-        assert verified.failure_probability == baseline.failure_probability
-        assert _timeless(verified.records) == _timeless(baseline.records)
+    def test_verified_run_matches_unverified(
+        self, cooling_sdft, bwr_study, mode
+    ):
+        # The cheap guards sit on the hot per-record path of every run,
+        # so they are also checked at benchmark scale.
+        models = [cooling_sdft] + ([bwr_study] if mode == "cheap" else [])
+        for sdft in models:
+            baseline = analyze(sdft, AnalysisOptions(horizon=HORIZON))
+            verified = analyze(
+                sdft, AnalysisOptions(horizon=HORIZON, verify=mode)
+            )
+            assert verified.failure_probability == baseline.failure_probability
+            assert _timeless(verified.records) == _timeless(baseline.records)
 
     def test_verified_run_reports_its_check_count(self, cooling_sdft):
         result = analyze(
