@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.bdd.engine import FALSE, TRUE, BddManager
+from repro.bdd.equiv import compile_into
 from repro.bdd.ordering import dfs_order
 from repro.ft.cutsets import CutSetList
-from repro.ft.tree import FaultTree, GateType
+from repro.ft.tree import FaultTree
 
 __all__ = ["CompiledTree", "compile_tree", "exact_probability", "exact_mcs"]
 
@@ -101,18 +102,7 @@ def compile_tree(
         raise ValueError("order must be a permutation of the tree's basic events")
     index = {name: i for i, name in enumerate(chosen)}
     manager = BddManager(node_budget=node_budget)
-    node_of: dict[str, int] = {
-        name: manager.var(index[name]) for name in tree.events
-    }
-    for gate in tree.gates_bottom_up():
-        children = [node_of[c] for c in gate.children]
-        if gate.gate_type is GateType.AND:
-            node_of[gate.name] = manager.conjoin(children)
-        elif gate.gate_type is GateType.OR:
-            node_of[gate.name] = manager.disjoin(children)
-        else:
-            assert gate.k is not None
-            node_of[gate.name] = manager.atleast(gate.k, children)
+    node_of = compile_into(tree, manager, index)
     gate_roots = {name: node_of[name] for name in tree.gates}
     return CompiledTree(tree, manager, node_of[tree.top], tuple(chosen), gate_roots)
 

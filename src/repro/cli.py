@@ -31,7 +31,7 @@ import argparse
 import sys
 
 from repro.core.analyzer import AnalysisOptions, analyze
-from repro.core.sdft import SdFaultTree
+from repro.core.sdft import SdFaultTree, as_sdft
 from repro.ft.importance import importance
 from repro.ft.mocus import MocusOptions, mocus
 from repro.models.formats import load_model, save_model
@@ -514,18 +514,7 @@ def _load_any(path: str):
 
 
 def _load_sdft(path: str) -> SdFaultTree:
-    model = _load_any(path)
-    if isinstance(model, SdFaultTree):
-        return model
-    # Promote a static tree: an SD tree with no dynamic events.
-    return SdFaultTree(
-        model.top,
-        model.events.values(),
-        [],
-        model.gates.values(),
-        {},
-        name=model.name,
-    )
+    return as_sdft(_load_any(path))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

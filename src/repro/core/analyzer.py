@@ -19,6 +19,7 @@ evaluates the tree with all timing ignored.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable
@@ -271,11 +272,18 @@ class AnalysisOptions:
                 raise ValueError(
                     f"unknown {name} {value!r}; expected one of {allowed}"
                 )
+        timeout = self.pool_task_timeout_seconds
         ranges = (
+            ("horizon", 0.0 <= self.horizon < math.inf, "finite and >= 0"),
             ("cutoff", self.cutoff >= 0.0, ">= 0"),
             ("epsilon", 0.0 < self.epsilon < 1.0, "in (0, 1)"),
             ("mc_target_rel_error", self.mc_target_rel_error > 0.0, "> 0"),
             ("monte_carlo_runs", self.monte_carlo_runs >= 1, ">= 1"),
+            (
+                "pool_task_timeout_seconds",
+                timeout is None or timeout > 0.0,
+                "> 0 or None",
+            ),
         )
         for name, valid, expected in ranges:
             if not valid:

@@ -33,7 +33,7 @@ from repro.errors import (
 )
 from repro.ft.tree import BasicEvent, FaultTree, Gate, GateType
 
-__all__ = ["DynamicBasicEvent", "SdFaultTree", "SdFaultTreeBuilder"]
+__all__ = ["DynamicBasicEvent", "SdFaultTree", "SdFaultTreeBuilder", "as_sdft"]
 
 
 @dataclass(frozen=True)
@@ -257,6 +257,16 @@ class SdFaultTree:
             f"{len(self.structure.gates)} gates, "
             f"{len(self.trigger_of)} triggered)"
         )
+
+
+def as_sdft(model: SdFaultTree | FaultTree) -> SdFaultTree:
+    """``model`` as an SD fault tree: a static tree is promoted to one
+    with no dynamic events and no triggers."""
+    if isinstance(model, SdFaultTree):
+        return model
+    return SdFaultTree(
+        model.top, model.events.values(), [], model.gates.values(), {}, name=model.name
+    )
 
 
 class SdFaultTreeBuilder:

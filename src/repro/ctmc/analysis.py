@@ -11,8 +11,9 @@ beyond ``Pr[Reach^{<=t}(F)]``:
   reaching the failed set (less than one when repair paths can escape
   to absorbing healthy states).
 
-All three reduce to linear systems or uniformization-style series on
-the (sparse) generator.
+MTTF and eventual failure solve linear systems on the (sparse)
+generator; downtime reads the uniformization occupancy series of
+:mod:`repro.ctmc.transient`.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import warnings
 import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
-from scipy.special import gammaln
 
 from repro.ctmc.chain import Ctmc
+from repro.ctmc.transient import occupancy_integrals
 from repro.errors import NumericalError
 
 __all__ = [
@@ -87,61 +88,13 @@ def expected_downtime(
 ) -> float:
     """Expected total time spent in failed states within ``[0, horizon]``.
 
-    The unavailability integral ``∫_0^t Pr[failed at u] du``, computed
-    with the uniformization identity
-
-    ``∫_0^t pi_u du = (1/q) * sum_k pi_k * Pr[Poisson(q t) > k]``
-
-    where ``pi_k`` are the DTMC iterates.  Unlike reachability this
-    keeps repairs visible: a failed-and-repaired component contributes
-    only its actual downtime.
+    The unavailability integral ``∫_0^t Pr[failed at u] du``: the
+    failed-state sum of :func:`repro.ctmc.transient.occupancy_integrals`.
+    Unlike reachability this keeps repairs visible: a failed-and-repaired
+    component contributes only its actual downtime.
     """
-    if horizon < 0.0:
-        raise ValueError(f"horizon must be non-negative, got {horizon}")
-    if horizon == 0.0 or not chain.failed:
-        return 0.0
-    rate_matrix = chain.rate_matrix()
-    exit_rates = np.asarray(rate_matrix.sum(axis=1)).ravel()
-    q = float(exit_rates.max())
-    if q <= 0.0:
-        # Frozen chain: the initial failed mass persists.
-        failed_mass = sum(
-            p for s, p in chain.initial.items() if s in chain.failed
-        )
-        return failed_mass * horizon
-    q *= 1.02
-    qt = q * horizon
-    n = chain.n_states
-    # P = I + Q/q with Q = R - diag(exit rates).
-    dtmc = (
-        rate_matrix / q
-        + sparse.eye(n, format="csr")
-        - sparse.diags(exit_rates / q)
-    ).tocsr()
-    failed_mask = chain.failed_mask()
-
-    # Survival function of Poisson(qt) via the complement of the CDF,
-    # accumulated alongside the iteration.
-    pi = chain.initial_vector()
-    total = 0.0
-    cdf = 0.0
-    k = 0
-    log_qt = math.log(qt)
-    while True:
-        log_pmf = -qt + k * log_qt - float(gammaln(k + 1))
-        pmf = math.exp(log_pmf)
-        survival = max(0.0, 1.0 - cdf - pmf)  # Pr[Poisson > k]
-        total += float(pi[failed_mask].sum()) * survival
-        cdf += pmf
-        if cdf >= 1.0 - epsilon and survival < epsilon:
-            break
-        k += 1
-        if k > 4_000_000:
-            raise NumericalError(
-                f"downtime series needs too many terms (q*t = {qt:.3g})"
-            )
-        pi = pi @ dtmc
-    return total / q
+    occupancy = occupancy_integrals(chain, horizon, epsilon)
+    return float(occupancy[chain.failed_mask()].sum())
 
 
 def eventual_failure_probability(chain: Ctmc) -> float:

@@ -13,6 +13,7 @@ The class is immutable after construction; analyses live in
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Hashable, Iterable, Mapping
 
 import numpy as np
@@ -36,7 +37,9 @@ class Ctmc:
         Mapping from state to initial probability; omitted states get
         probability zero.  Must sum to one (within ``1e-9``).
     rates:
-        Mapping ``(source, destination) -> rate`` with positive rates;
+        Mapping ``(source, destination) -> rate`` with finite,
+        non-negative rates (zero rates are dropped; negative, infinite
+        and NaN rates raise :class:`~repro.errors.InvalidRateError`);
         self-loops are meaningless in a CTMC and rejected.
     failed:
         The failed states ``F``.
@@ -80,9 +83,10 @@ class Ctmc:
                 )
             if source == destination:
                 raise InvalidRateError(f"self-loop rate on state {source!r}")
-            if rate < 0.0:
+            if not 0.0 <= rate < math.inf:
                 raise InvalidRateError(
-                    f"negative rate {rate} on {source!r} -> {destination!r}"
+                    f"rate {rate!r} on {source!r} -> {destination!r} is not "
+                    f"a finite non-negative number"
                 )
             if rate > 0.0:
                 self.rates[(source, destination)] = float(rate)

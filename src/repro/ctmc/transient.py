@@ -16,7 +16,17 @@ Two backends:
   implementation and for very stiff small chains.
 
 Reachability reduces to transient analysis by making the target states
-absorbing (:meth:`repro.ctmc.chain.Ctmc.with_absorbing`).
+absorbing (:meth:`repro.ctmc.chain.Ctmc.with_absorbing`), and the
+occupancy integrals (expected time per state, hence downtime) are the
+same uniformized series weighted by Poisson survival probabilities.
+Both series run over one uniformized DTMC builder.
+
+The solvers trust the rates: the :class:`~repro.ctmc.chain.Ctmc`
+constructor already rejects negative, infinite and NaN ones.  They do
+not trust their own arithmetic: every distribution a solve returns is
+checked to be one (invariant P2 — finite, non-negative, mass ``1 ±
+1e-6``), and occupancy vectors to conserve time mass, raising
+:class:`~repro.errors.NumericalError` so the degradation ladder applies.
 """
 
 from __future__ import annotations
@@ -51,29 +61,12 @@ _MAX_TERMS = 4_000_000
 _MASS_TOLERANCE = 1e-6
 
 
-def _reject_nonfinite_rates(chain: Ctmc, what: str) -> None:
-    """Fail fast on inf/NaN rates instead of solving with garbage.
-
-    The :class:`Ctmc` constructor rejects *negative* rates but lets
-    non-finite ones through (``NaN < 0`` is false), and a single inf
-    poisons the uniformization constant ``q`` silently.  Raising
-    :class:`~repro.errors.NumericalError` here routes the failure into
-    the degradation ladder like any other solver breakdown.
-    """
-    for (source, destination), rate in chain.rates.items():
-        if not math.isfinite(rate):
-            raise NumericalError(
-                f"{what}: non-finite rate {rate!r} on transition "
-                f"{source!r} -> {destination!r}"
-            )
-
-
 def _checked_distribution(distribution: np.ndarray, what: str) -> np.ndarray:
     """Assert a solver output is a probability distribution.
 
-    Entrywise finite and non-negative, total mass ``1 ± tol`` — the
-    always-on counterpart of the opt-in verify layer
-    (:mod:`repro.robust.verify`), raising
+    Entrywise finite and non-negative, total mass ``1 ± tol``: invariant
+    P2 of :mod:`repro.robust.verify`, checked here on every transient
+    solve whatever the verify mode, raising
     :class:`~repro.errors.NumericalError` so existing recovery paths
     apply.  Vectorised: costs two passes over a dense vector.
     """
@@ -117,7 +110,6 @@ def transient_distribution(
     nu = chain.initial_vector()
     if horizon == 0.0 or not chain.rates:
         return nu
-    _reject_nonfinite_rates(chain, "transient solve")
     what = f"transient distribution ({chain.n_states} states, t={horizon:g})"
     if method == "uniformization":
         return _checked_distribution(
@@ -191,19 +183,11 @@ def occupancy_integrals(
     n = chain.n_states
     if horizon == 0.0:
         return np.zeros(n)
-    _reject_nonfinite_rates(chain, "occupancy solve")
-    rate_matrix = chain.rate_matrix()
-    exit_rates = np.asarray(rate_matrix.sum(axis=1)).ravel()
-    q = float(exit_rates.max())
-    if q <= 0.0:
+    uniformized = _uniformized(chain)
+    if uniformized is None:
         return chain.initial_vector() * horizon
-    q *= 1.02
+    dtmc, _, q = uniformized
     qt = q * horizon
-    dtmc = (
-        rate_matrix / q
-        + sparse.eye(n, format="csr")
-        - sparse.diags(exit_rates / q)
-    ).tocsr()
     pi = chain.initial_vector()
     total = np.zeros(n)
     cdf = 0.0
@@ -298,21 +282,12 @@ def _uniformization(
         budget.check_deadline("transient")
     metrics = metrics if metrics is not None else NULL_METRICS
     early_exit = False
-    rate_matrix = chain.rate_matrix()
-    exit_rates = np.asarray(rate_matrix.sum(axis=1)).ravel()
-    q = float(exit_rates.max())
-    if q <= 0.0:
+    uniformized = _uniformized(chain)
+    if uniformized is None:
         return chain.initial_vector()
-    # A tiny inflation of q is conventional: it keeps the diagonal of P
-    # strictly positive, which makes the DTMC aperiodic.
-    q *= 1.02
+    dtmc, exit_rates, q = uniformized
     qt = q * horizon
-
     n = chain.n_states
-    # The CSR conversion and diagonal fix happen once, before the
-    # series loop — every iteration is then a single sparse mat-vec.
-    dtmc = (rate_matrix / q + sparse.eye(n, format="csr")).tocsr()
-    dtmc = _strip_diagonal_deficit(dtmc, exit_rates / q)
 
     # Early-exit support: states with no outgoing rate are fixed points
     # of the DTMC, so once (almost) all probability mass sits on them
@@ -364,17 +339,31 @@ def _uniformization(
     return result / accumulated
 
 
-def _strip_diagonal_deficit(dtmc: sparse.csr_matrix, scaled_exit: np.ndarray):
-    """Fix the DTMC diagonal so each row sums to exactly one.
+def _uniformized(
+    chain: Ctmc,
+) -> tuple[sparse.csr_matrix, np.ndarray, float] | None:
+    """The uniformized DTMC ``P = I + Q/q`` of ``chain``, its exit rates and ``q``.
 
-    ``I + Q/q`` already does this analytically; the explicit correction
-    guards against the tiny drift of floating-point summation, which
-    would otherwise compound over thousands of powers.
+    ``q`` is the largest exit rate inflated by 2%: the conventional
+    margin keeps the diagonal of ``P`` strictly positive, which makes
+    the DTMC aperiodic.  Each diagonal entry is then corrected so its
+    row sums to exactly one — ``I + Q/q`` does this analytically, but
+    the drift of floating-point summation would otherwise compound over
+    thousands of powers.  The CSR conversion and diagonal fix happen
+    once, before any series loop, so every iteration is a single sparse
+    mat-vec.  ``None`` for a frozen chain (no positive exit rate), whose
+    distribution never moves.
     """
-    dtmc = dtmc.tolil()
+    rate_matrix = chain.rate_matrix()
+    exit_rates = np.asarray(rate_matrix.sum(axis=1)).ravel()
+    q = float(exit_rates.max())
+    if q <= 0.0:
+        return None
+    q *= 1.02
+    dtmc = (rate_matrix / q + sparse.eye(chain.n_states, format="csr")).tolil()
     row_sums = np.asarray(dtmc.sum(axis=1)).ravel()
     for i, total in enumerate(row_sums):
         deficit = 1.0 - total
         if deficit != 0.0:
             dtmc[i, i] = dtmc[i, i] + deficit
-    return dtmc.tocsr()
+    return dtmc.tocsr(), exit_rates, q

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from repro.core.sdft import SdFaultTree
+from repro.core.sdft import SdFaultTree, as_sdft
 from repro.ft.tree import FaultTree
 from repro.lint.config import LintConfig
 from repro.lint.context import LintContext
@@ -115,12 +115,12 @@ def lint(
 
     ``model`` may be an :class:`~repro.core.sdft.SdFaultTree` or a plain
     static :class:`~repro.ft.tree.FaultTree` (promoted to an SD tree
-    with no dynamic events, exactly like the CLI does).  Nothing is
-    analysed: no translation, no MOCUS, no cutset chains — only the
-    per-event worst-case solves the probabilistic rules compare against
-    the cutoff, and those are skipped per event if they fail.
+    with no dynamic events by :func:`~repro.core.sdft.as_sdft`).
+    Nothing is analysed: no translation, no MOCUS, no cutset chains —
+    only the per-event worst-case solves the probabilistic rules compare
+    against the cutoff, and those are skipped per event if they fail.
     """
-    sdft = _as_sdft(model)
+    sdft = as_sdft(model)
     cfg = config or LintConfig()
     context = LintContext(sdft, cfg)
     findings: list[Diagnostic] = []
@@ -130,16 +130,3 @@ def lint(
         findings.extend(rule.run(context))
     findings.sort(key=Diagnostic.sort_key)
     return LintReport(model=sdft.name, diagnostics=tuple(findings))
-
-
-def _as_sdft(model: SdFaultTree | FaultTree) -> SdFaultTree:
-    if isinstance(model, SdFaultTree):
-        return model
-    return SdFaultTree(
-        model.top,
-        model.events.values(),
-        [],
-        model.gates.values(),
-        {},
-        name=model.name,
-    )

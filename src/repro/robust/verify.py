@@ -16,7 +16,11 @@ The invariant catalogue (see ``docs/robustness.md``):
   pipeline produces is finite and within ``[0, 1]`` (up to a tiny
   floating-point tolerance).
 * **P2 — distributions conserve mass**: a transient distribution is
-  entrywise non-negative and sums to ``1 ± tol``.
+  entrywise finite, non-negative and sums to ``1 ± tol``.  Not part of
+  the modes below: the transient solver checks every distribution it
+  returns, always (:func:`repro.ctmc.transient._checked_distribution`),
+  and raises :class:`~repro.errors.NumericalError` so the degradation
+  ladder applies.
 * **P3 — intervals are ordered**: every reported interval satisfies
   ``lower <= estimate <= upper``.
 * **P4 — worst-case dominance**: an exactly-quantified cutset's
@@ -40,7 +44,7 @@ conservative degradation path with a health event saying so.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import InvariantViolation
 
@@ -52,7 +56,6 @@ if TYPE_CHECKING:
 __all__ = [
     "MODES",
     "Verifier",
-    "check_distribution",
     "check_interval",
     "check_probability",
     "resolve_mode",
@@ -63,11 +66,6 @@ MODES = ("off", "cheap", "full")
 
 #: Slack for pure floating-point comparisons (range and ordering).
 DEFAULT_TOLERANCE = 1e-9
-
-#: Slack for probability-mass conservation of transient distributions:
-#: the solver's own truncation error compounds over the series, so mass
-#: checks are looser than ordering checks.
-MASS_TOLERANCE = 1e-6
 
 
 def resolve_mode(mode: str) -> str:
@@ -88,37 +86,6 @@ def check_probability(
     if value < -tolerance or value > 1.0 + tolerance:
         raise InvariantViolation(
             f"{what} is outside [0, 1]: {value!r}"
-        )
-
-
-def check_distribution(
-    entries: Iterable[float],
-    what: str,
-    tolerance: float = MASS_TOLERANCE,
-) -> None:
-    """Invariant P2: a distribution is non-negative and sums to one.
-
-    Accepts any iterable of floats (a numpy vector included); runs in
-    one pass.  (:mod:`repro.ctmc.transient` carries its own vectorised
-    always-on twin of this check, raising
-    :class:`~repro.errors.NumericalError` there so the degradation
-    ladder applies.)
-    """
-    total = 0.0
-    for i, value in enumerate(entries):
-        if not math.isfinite(value):
-            raise InvariantViolation(
-                f"{what} has a non-finite entry at index {i}: {value!r}"
-            )
-        if value < -tolerance:
-            raise InvariantViolation(
-                f"{what} has a negative entry at index {i}: {value!r}"
-            )
-        total += value
-    if abs(total - 1.0) > tolerance:
-        raise InvariantViolation(
-            f"{what} does not conserve probability mass: sums to "
-            f"{total!r} (drift {total - 1.0:.3e}, tolerance {tolerance:g})"
         )
 
 

@@ -23,6 +23,10 @@ from repro.core.analyzer import AnalysisOptions
         ("mc_target_rel_error", 0.0, "mc_target_rel_error"),
         ("mc_target_rel_error", -0.1, "mc_target_rel_error"),
         ("monte_carlo_runs", 0, "monte_carlo_runs"),
+        ("pool_task_timeout_seconds", 0, "pool_task_timeout_seconds"),
+        ("pool_task_timeout_seconds", -1, "pool_task_timeout_seconds"),
+        ("horizon", -5.0, "horizon"),
+        ("horizon", float("nan"), "horizon"),
     ],
 )
 def test_rejects_invalid_value(knob, value, message):

@@ -1,14 +1,18 @@
 """Tests of the CTMC model class."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.ctmc.builders import exponential_failure
 from repro.ctmc.chain import Ctmc
 from repro.errors import (
     InvalidProbabilityError,
     InvalidRateError,
     ModelError,
 )
+from repro.models.formats import load_model, save_model
 
 
 def _two_state():
@@ -52,6 +56,27 @@ class TestValidation:
     def test_negative_rate_rejected(self):
         with pytest.raises(InvalidRateError):
             Ctmc(["a", "b"], {"a": 1.0}, {("a", "b"): -1.0}, [])
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(InvalidRateError):
+            Ctmc(["a", "b"], {"a": 1.0}, {("a", "b"): rate}, [])
+        with pytest.raises(InvalidRateError):
+            exponential_failure(rate)
+
+    def test_model_file_with_nan_repair_rate_rejected(self, cooling_sdft, tmp_path):
+        """A NaN rate fails the load instead of reading as "no transition"
+        (which would serve the answer of the model without repair)."""
+        path = tmp_path / "cooling.json"
+        save_model(cooling_sdft, path)
+        data = json.loads(path.read_text())
+        (pump,) = [e for e in data["dynamic_events"] if e["name"] == "b"]
+        repairs = [r for r in pump["chain"]["rates"] if r[0] == ["on", 1]]
+        assert len(repairs) == 1
+        repairs[0][2] = float("nan")
+        path.write_text(json.dumps(data))
+        with pytest.raises(InvalidRateError):
+            load_model(path)
 
     def test_zero_rates_dropped(self):
         chain = Ctmc(["a", "b"], {"a": 1.0}, {("a", "b"): 0.0}, [])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.ctmc.chain import Ctmc
 from repro.ctmc.transient import (
+    _checked_distribution,
     failure_probability,
     reach_probability,
     steady_state,
@@ -259,10 +260,14 @@ class TestOccupancy:
         from repro.ctmc.analysis import expected_downtime
         from repro.ctmc.transient import occupancy_integrals
 
-        chain = _repairable(0.3, 1.0)
-        occupancy = occupancy_integrals(chain, 40.0)
-        downtime = expected_downtime(chain, 40.0)
-        assert occupancy[chain.index["fail"]] == pytest.approx(downtime, rel=1e-6)
+        frozen = Ctmc(["a", "b"], {"a": 0.25, "b": 0.75}, {}, ["b"])
+        cases = ((_repairable(0.3, 1.0), 40.0), (frozen, 8.0), (_birth(), 0.0))
+        for chain, horizon in cases:
+            occupancy = occupancy_integrals(chain, horizon)
+            downtime = expected_downtime(chain, horizon)
+            assert occupancy[chain.failed_mask()].sum() == downtime
+        assert expected_downtime(frozen, 8.0) == 6.0
+        assert expected_downtime(_birth(), 0.0) == 0.0
 
     def test_frozen_chain(self):
         from repro.ctmc.transient import occupancy_integrals
@@ -288,6 +293,26 @@ class TestOccupancy:
         samples = np.array([transient_distribution(chain, u) for u in grid])
         quadrature = np.trapezoid(samples, grid, axis=0)
         assert np.allclose(occupancy, quadrature, atol=horizon * 2e-3)
+
+
+class TestMassCheck:
+    """Invariant P2, checked on every transient solve.
+
+    The accepting cases live in ``tests/robust/test_verify.py``.
+    """
+
+    @pytest.mark.parametrize(
+        "entries, excerpt",
+        [
+            ([0.5, float("nan"), 0.5], "non-finite"),
+            ([0.7, -0.2, 0.5], "negative"),
+            ([0.2, 0.2], "mass"),
+            ([0.7, 0.7], "mass"),
+        ],
+    )
+    def test_rejects_broken_distributions(self, entries, excerpt):
+        with pytest.raises(NumericalError, match=excerpt):
+            _checked_distribution(np.array(entries), "pi")
 
 
 class TestSteadyState:
