@@ -35,7 +35,9 @@ class Ctmc:
         All states, in a fixed order (determines internal indices).
     initial:
         Mapping from state to initial probability; omitted states get
-        probability zero.  Must sum to one (within ``1e-9``).
+        probability zero.  Entries must be finite and non-negative
+        (a NaN would otherwise slip past the sum check and be dropped)
+        and sum to one (within ``1e-9``).
     rates:
         Mapping ``(source, destination) -> rate`` with finite,
         non-negative rates (zero rates are dropped; negative, infinite
@@ -53,18 +55,19 @@ class Ctmc:
         failed: Iterable[State],
     ) -> None:
         self.states: tuple[State, ...] = tuple(states)
-        if len(set(self.states)) != len(self.states):
-            raise ModelError("duplicate states in CTMC")
         self.index: dict[State, int] = {s: i for i, s in enumerate(self.states)}
+        if len(self.index) != len(self.states):
+            raise ModelError("duplicate states in CTMC")
         if not self.states:
             raise ModelError("CTMC needs at least one state")
 
         for state, probability in initial.items():
             if state not in self.index:
                 raise ModelError(f"initial distribution mentions unknown state {state!r}")
-            if probability < 0.0:
+            if not 0.0 <= probability < math.inf:
                 raise InvalidProbabilityError(
-                    f"negative initial probability for state {state!r}"
+                    f"initial probability {probability!r} for state {state!r} "
+                    f"is not a finite non-negative number"
                 )
         total = float(sum(initial.values()))
         if abs(total - 1.0) > 1e-9:
@@ -75,13 +78,19 @@ class Ctmc:
             s: float(p) for s, p in initial.items() if p > 0.0
         }
 
-        self.rates: dict[tuple[State, State], float] = {}
+        # Row and column index of every kept rate, in ``self.rates``
+        # order: the matrix forms read them instead of re-hashing labels.
+        self._rate_rows: list[int] = []
+        self._rate_cols: list[int] = []
+        plain = type(rates) is dict
         for (source, destination), rate in rates.items():
-            if source not in self.index or destination not in self.index:
+            i = self.index.get(source)
+            j = self.index.get(destination)
+            if i is None or j is None:
                 raise ModelError(
                     f"rate references unknown state: {source!r} -> {destination!r}"
                 )
-            if source == destination:
+            if i == j:
                 raise InvalidRateError(f"self-loop rate on state {source!r}")
             if not 0.0 <= rate < math.inf:
                 raise InvalidRateError(
@@ -89,7 +98,18 @@ class Ctmc:
                     f"a finite non-negative number"
                 )
             if rate > 0.0:
-                self.rates[(source, destination)] = float(rate)
+                self._rate_rows.append(i)
+                self._rate_cols.append(j)
+                plain = plain and type(rate) is float
+            else:
+                plain = False
+        # A dict of positive floats is copied as is, keeping its keys'
+        # stored hashes; anything else is filtered and converted.
+        self.rates: dict[tuple[State, State], float] = (
+            dict(rates)
+            if plain
+            else {(s, d): float(r) for (s, d), r in rates.items() if r > 0.0}
+        )
 
         self.failed: frozenset[State] = frozenset(failed)
         for state in self.failed:
@@ -198,16 +218,13 @@ class Ctmc:
 
     def rate_matrix(self) -> sparse.csr_matrix:
         """The rate matrix ``R`` (no diagonal) as a sparse CSR matrix."""
-        if not self.rates:
-            return sparse.csr_matrix((self.n_states, self.n_states))
-        rows, cols, values = [], [], []
-        for (source, destination), rate in self.rates.items():
-            rows.append(self.index[source])
-            cols.append(self.index[destination])
-            values.append(rate)
-        return sparse.csr_matrix(
-            (values, (rows, cols)), shape=(self.n_states, self.n_states)
-        )
+        n, count = self.n_states, len(self.rates)
+        if not count:
+            return sparse.csr_matrix((n, n))
+        rows = np.fromiter(self._rate_rows, dtype=np.intp, count=count)
+        cols = np.fromiter(self._rate_cols, dtype=np.intp, count=count)
+        values = np.fromiter(self.rates.values(), dtype=float, count=count)
+        return sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
 
     def generator_matrix(self) -> sparse.csr_matrix:
         """The infinitesimal generator ``Q = R - diag(exit rates)``."""
@@ -228,15 +245,17 @@ class Ctmc:
         analysis: make the targets absorbing, then the probability mass
         sitting on them at time ``t`` equals ``Pr[Reach^{<=t}]``.
         """
-        absorbing_set = frozenset(absorbing)
-        for state in absorbing_set:
+        blocked = set()
+        for state in frozenset(absorbing):
             if state not in self.index:
                 raise ModelError(f"unknown state {state!r}")
-        rates = {
-            (source, destination): rate
-            for (source, destination), rate in self.rates.items()
-            if source not in absorbing_set
-        }
+            blocked.add(self.index[state])
+        # Copy, then delete: only the (few) removed keys are re-hashed,
+        # and the survivors keep their order.
+        rates = dict(self.rates)
+        for key, row in zip(self.rates, self._rate_rows):
+            if row in blocked:
+                del rates[key]
         return Ctmc(self.states, self.initial, rates, self.failed)
 
     def with_initial(self, initial: Mapping[State, float]) -> "Ctmc":

@@ -94,35 +94,37 @@ class TrajectoryKernel:
     unlike :func:`repro.ctmc.product.build_product` the kernel only ever
     pays for states that are actually sampled, which is what makes the
     simulation rungs usable exactly when the product space is too big
-    to build.
+    to build.  States are the coded tuples of
+    :class:`~repro.ctmc.product.SdSemantics`, whose moves and trigger
+    updates the kernel shares with the product construction.
     """
 
     def __init__(self, sdft) -> None:
         self.sdft = sdft
-        self.semantics = SdSemantics(sdft)
-        order = self.semantics.order
-        self._static_names = [n for n in order if sdft.is_static(n)]
-        self._static_p = np.array(
-            [sdft.static_events[n].probability for n in self._static_names]
-        )
-        self._dynamic_names = [n for n in order if sdft.is_dynamic(n)]
-        self._dynamic_initial: list[tuple[list, np.ndarray]] = []
-        for name in self._dynamic_names:
+        self.semantics = semantics = SdSemantics(sdft)
+        order = semantics.order
+        static = [n for n in order if sdft.is_static(n)]
+        self._static_slots = [semantics.position[n] for n in static]
+        self._static_p = np.array([sdft.static_events[n].probability for n in static])
+        self._dynamic_slots: list[int] = []
+        self._dynamic_initial: list[tuple[list[int], np.ndarray]] = []
+        for name in order:
+            if not sdft.is_dynamic(name):
+                continue
+            slot = semantics.position[name]
             items = sorted(
                 sdft.chain_of(name).initial.items(), key=lambda x: str(x[0])
             )
-            locals_ = [local for local, _ in items]
+            codes = [semantics.codes[slot][local] for local, _ in items]
             weights = np.array([p for _, p in items], dtype=float)
-            self._dynamic_initial.append((locals_, np.cumsum(weights)))
-        self._slots = {
-            name: self.semantics.position[name]
-            for name in self._static_names + self._dynamic_names
-        }
+            self._dynamic_slots.append(slot)
+            self._dynamic_initial.append((codes, np.cumsum(weights)))
         # Interning tables, grown lazily as trajectories discover states.
-        self._intern: dict[tuple, int] = {}
+        # ``_ids`` also maps raw (not yet updated) initial draws.
+        self._ids: dict[tuple, int] = {}
         self._states: list[tuple] = []
+        self._masks: list[int] = []
         self._fails: list[bool] = []
-        self._failed_counts: list[int] = []
         self._exit_rates: list[float] = []
         # Per-state move table: (dest ids, rates, cumulative rates,
         # repair-directed flags); None for absorbing states.
@@ -134,34 +136,33 @@ class TrajectoryKernel:
     # State interning
     # ------------------------------------------------------------------
 
-    def intern(self, raw_state: tuple) -> int:
-        """The id of ``make_consistent(raw_state)``, tabulating on first visit."""
-        found = self._intern.get(raw_state)
-        if found is not None:
-            return found
-        semantics = self.semantics
-        state = semantics.make_consistent(raw_state)
-        sid = self._intern.get(state)
+    def _intern(self, state: tuple, mask: int) -> int:
+        """The id of a consistent coded state, tabulating on first visit."""
+        sid = self._ids.get(state)
         if sid is None:
             sid = len(self._states)
-            self._intern[state] = sid
+            self._ids[state] = sid
             self._states.append(state)
-            self._fails.append(semantics.fails_top(state))
-            self._failed_counts.append(
-                sum(
-                    state[i] in semantics.failed_local[name]
-                    for i, name in enumerate(semantics.order)
-                )
-            )
+            self._masks.append(mask)
+            self._fails.append(self.semantics.fails(mask))
             self._exit_rates.append(-1.0)  # move table built on demand
             self._moves.append(None)
-        if state != raw_state:
-            self._intern[raw_state] = sid
+        return sid
+
+    def _intern_raw(self, raw_state: tuple) -> int:
+        """The id of the update of a raw coded state (cached per raw state)."""
+        found = self._ids.get(raw_state)
+        if found is not None:
+            return found
+        state = list(raw_state)
+        mask = self.semantics.settle(state, self.semantics.failed_mask(state))
+        sid = self._intern(tuple(state), mask)
+        self._ids[raw_state] = sid
         return sid
 
     def state(self, sid: int) -> tuple:
-        """The product-state tuple behind an id."""
-        return self._states[sid]
+        """The product-state tuple (labels) behind an id."""
+        return self.semantics.decode(self._states[sid])
 
     def fails(self, sid: int) -> bool:
         """Whether the state fails the top gate."""
@@ -174,7 +175,7 @@ class TrajectoryKernel:
         accumulate towards the top event, so the count is a cheap
         monotone proxy for "how close to the top failure" a state is.
         """
-        return self._failed_counts[sid]
+        return self._masks[sid].bit_count()
 
     # ------------------------------------------------------------------
     # Move tables
@@ -204,27 +205,25 @@ class TrajectoryKernel:
     def _build_moves(self, sid: int) -> float:
         semantics = self.semantics
         state = self._states[sid]
-        raw_moves = semantics.local_transitions(state)
-        total = math.fsum(rate for _, _, rate in raw_moves)
-        if not raw_moves or total <= 0.0:
+        successors = semantics.successors(state, self._masks[sid])
+        total = math.fsum(move[4] for move in successors)
+        if not successors or total <= 0.0:
             # Absorbing: treat an all-zero race like no race at all
             # instead of dividing by the zero total rate.
             self._exit_rates[sid] = 0.0
             self._moves[sid] = None
             return 0.0
-        dests = np.empty(len(raw_moves), dtype=np.int64)
-        rates = np.empty(len(raw_moves), dtype=float)
-        repair = np.empty(len(raw_moves), dtype=bool)
-        for k, (event_name, destination, rate) in enumerate(raw_moves):
-            moved = list(state)
-            moved[semantics.position[event_name]] = destination
-            dests[k] = self.intern(tuple(moved))
+        dests = np.empty(len(successors), dtype=np.int64)
+        rates = np.empty(len(successors), dtype=float)
+        repair = np.empty(len(successors), dtype=bool)
+        failed_bits = semantics.failed_bits
+        for k, (_, i, target, target_mask, rate) in enumerate(successors):
+            dests[k] = self._intern(target, target_mask)
             rates[k] = rate
             # A move out of a failed local state undoes failure progress;
             # everything else (first failures, phase advances, switch-ons)
             # is failure-directed for the biasing sampler.
-            position = semantics.position[event_name]
-            repair[k] = state[position] in semantics.failed_local[event_name]
+            repair[k] = failed_bits[i][state[i]] != 0
         self._exit_rates[sid] = total
         self._moves[sid] = (dests, rates, np.cumsum(rates), repair)
         return total
@@ -241,35 +240,32 @@ class TrajectoryKernel:
         cache, so repeated draws of the same raw combination cost one
         dict lookup.
         """
-        order_len = len(self.semantics.order)
         static_draws = (
-            rng.random((n, len(self._static_names))) < self._static_p
-            if self._static_names
+            rng.random((n, len(self._static_slots))) < self._static_p
+            if self._static_slots
             else None
         )
         dynamic_draws = (
-            rng.random((n, len(self._dynamic_names)))
-            if self._dynamic_names
+            rng.random((n, len(self._dynamic_slots)))
+            if self._dynamic_slots
             else None
         )
         ids = np.empty(n, dtype=np.int64)
-        template: list = [None] * order_len
+        template = [0] * len(self.semantics.order)
         for i in range(n):
             raw = list(template)
-            for j, name in enumerate(self._static_names):
-                raw[self._slots[name]] = (
-                    "fail" if static_draws[i, j] else "ok"  # type: ignore[index]
-                )
-            for j, name in enumerate(self._dynamic_names):
-                locals_, cum = self._dynamic_initial[j]
-                if len(locals_) == 1:
-                    raw[self._slots[name]] = locals_[0]
+            for j, slot in enumerate(self._static_slots):
+                raw[slot] = 1 if static_draws[i, j] else 0  # type: ignore[index]
+            for j, slot in enumerate(self._dynamic_slots):
+                codes, cum = self._dynamic_initial[j]
+                if len(codes) == 1:
+                    raw[slot] = codes[0]
                 else:
                     pick = int(
                         np.searchsorted(cum, dynamic_draws[i, j] * cum[-1])  # type: ignore[index]
                     )
-                    raw[self._slots[name]] = locals_[min(pick, len(locals_) - 1)]
-            ids[i] = self.intern(tuple(raw))
+                    raw[slot] = codes[min(pick, len(codes) - 1)]
+            ids[i] = self._intern_raw(tuple(raw))
         return ids
 
 

@@ -147,7 +147,9 @@ def reach_probability(
     distribution = transient_distribution(
         absorbed, horizon, method, epsilon, budget, metrics
     )
-    indices = [absorbed.index[s] for s in target_set]
+    # Sum in index order: frozenset iteration order follows the hash
+    # seed, and a different summation order moves the last ulp.
+    indices = sorted(absorbed.index[s] for s in target_set)
     return float(min(1.0, distribution[indices].sum()))
 
 
@@ -349,10 +351,13 @@ def _uniformized(
     the DTMC aperiodic.  Each diagonal entry is then corrected so its
     row sums to exactly one — ``I + Q/q`` does this analytically, but
     the drift of floating-point summation would otherwise compound over
-    thousands of powers.  The CSR conversion and diagonal fix happen
-    once, before any series loop, so every iteration is a single sparse
-    mat-vec.  ``None`` for a frozen chain (no positive exit rate), whose
-    distribution never moves.
+    thousands of powers.  Row sums come from a mat-vec with ones, which
+    adds each row's entries left to right in column order; the diagonal
+    is stored in every row (``I`` put it there), so one ``setdiag``
+    corrects all rows in place.  This happens once, before any series
+    loop, so every iteration is a single sparse mat-vec.  ``None`` for
+    a frozen chain (no positive exit rate), whose distribution never
+    moves.
     """
     rate_matrix = chain.rate_matrix()
     exit_rates = np.asarray(rate_matrix.sum(axis=1)).ravel()
@@ -360,10 +365,7 @@ def _uniformized(
     if q <= 0.0:
         return None
     q *= 1.02
-    dtmc = (rate_matrix / q + sparse.eye(chain.n_states, format="csr")).tolil()
-    row_sums = np.asarray(dtmc.sum(axis=1)).ravel()
-    for i, total in enumerate(row_sums):
-        deficit = 1.0 - total
-        if deficit != 0.0:
-            dtmc[i, i] = dtmc[i, i] + deficit
-    return dtmc.tocsr(), exit_rates, q
+    dtmc = rate_matrix / q + sparse.eye(chain.n_states, format="csr")
+    row_sums = dtmc @ np.ones(chain.n_states)
+    dtmc.setdiag(dtmc.diagonal() + (1.0 - row_sums))
+    return dtmc, exit_rates, q

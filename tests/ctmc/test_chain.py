@@ -41,6 +41,13 @@ class TestValidation:
         with pytest.raises(InvalidProbabilityError):
             Ctmc(["a", "b"], {"a": -0.5, "b": 1.5}, {}, [])
 
+    @pytest.mark.parametrize("probability", [float("nan"), float("inf")])
+    def test_non_finite_initial_rejected(self, probability):
+        """A NaN entry passes both ``< 0`` and the sum tolerance, so it
+        must be rejected on its own rather than filtered out as zero."""
+        with pytest.raises(InvalidProbabilityError):
+            Ctmc(["a", "b"], {"a": 1.0, "b": probability}, {}, [])
+
     def test_unknown_states_rejected_everywhere(self):
         with pytest.raises(ModelError):
             Ctmc(["a"], {"ghost": 1.0}, {}, [])
@@ -76,6 +83,20 @@ class TestValidation:
         repairs[0][2] = float("nan")
         path.write_text(json.dumps(data))
         with pytest.raises(InvalidRateError):
+            load_model(path)
+
+    def test_model_file_with_nan_initial_probability_rejected(
+        self, cooling_sdft, tmp_path
+    ):
+        """A NaN initial entry fails the load instead of being dropped
+        (which would serve the answer of the clean model)."""
+        path = tmp_path / "cooling.json"
+        save_model(cooling_sdft, path)
+        data = json.loads(path.read_text())
+        (pump,) = [e for e in data["dynamic_events"] if e["name"] == "b"]
+        pump["chain"]["initial"].append([["on", 1], float("nan")])
+        path.write_text(json.dumps(data))
+        with pytest.raises(InvalidProbabilityError):
             load_model(path)
 
     def test_zero_rates_dropped(self):
