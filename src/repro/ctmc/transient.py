@@ -191,6 +191,9 @@ def occupancy_integrals(
     dtmc, _, q = uniformized
     qt = q * horizon
     pi = chain.initial_vector()
+    advice = "rescale the model"
+    if _weight_out_of_reach(qt, epsilon):  # no early exit in this series
+        raise _series_too_long("occupancy series", n, horizon, qt, advice)
     total = np.zeros(n)
     cdf = 0.0
     k = 0
@@ -205,11 +208,7 @@ def occupancy_integrals(
             break
         k += 1
         if k > _MAX_TERMS:
-            raise NumericalError(
-                f"occupancy series needs more than {_MAX_TERMS} terms "
-                f"(chain of {n} states, horizon {horizon:g}, "
-                f"q*t = {qt:.3g}); rescale the model"
-            )
+            raise _series_too_long("occupancy series", n, horizon, qt, advice)
         pi = pi @ dtmc
     occupancy = total / q
     # Same always-on guard as the transient output, rescaled: the
@@ -265,6 +264,28 @@ def steady_state(chain: Ctmc) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+def _series_too_long(
+    what: str, n: int, horizon: float, qt: float, advice: str
+) -> NumericalError:
+    return NumericalError(
+        f"{what} needs more than {_MAX_TERMS} terms "
+        f"(chain of {n} states, horizon {horizon:g}, "
+        f"q*t = {qt:.3g}); {advice}"
+    )
+
+
+def _weight_out_of_reach(qt: float, epsilon: float) -> bool:
+    """Whether ``_MAX_TERMS`` Poisson weights stay below ``1 - epsilon``.
+
+    The mass of ``Poisson(q t)`` below ``q t - 20 sqrt(q t)`` is under
+    ``e^-200`` (Chernoff), so when that point lies past ``_MAX_TERMS`` a
+    series whose only exit is its accumulated weight runs every term
+    and then raises: checking first raises the same error before the
+    first mat-vec, and every series that finishes is untouched.
+    """
+    return epsilon < 1.0 and qt - 20.0 * math.sqrt(qt) > _MAX_TERMS
+
+
 def _uniformization(
     chain: Ctmc, horizon: float, epsilon: float, budget=None, metrics=None
 ) -> np.ndarray:
@@ -299,6 +320,9 @@ def _uniformization(
     # thousands of no-op series terms.
     mobile = exit_rates > 0.0
     watch_absorption = bool(mobile.any()) and not bool(mobile.all())
+    advice = "rescale the model or use method='expm'"
+    if not watch_absorption and _weight_out_of_reach(qt, epsilon):
+        raise _series_too_long("uniformization", n, horizon, qt, advice)
 
     log_qt = math.log(qt)
     pi = chain.initial_vector()
@@ -323,11 +347,7 @@ def _uniformization(
             break
         k += 1
         if k > _MAX_TERMS:
-            raise NumericalError(
-                f"uniformization needs more than {_MAX_TERMS} terms "
-                f"(chain of {n} states, horizon {horizon:g}, "
-                f"q*t = {qt:.3g}); rescale the model or use method='expm'"
-            )
+            raise _series_too_long("uniformization", n, horizon, qt, advice)
         if budget is not None and not (k & 255):
             budget.check_deadline("transient")
         pi = pi @ dtmc

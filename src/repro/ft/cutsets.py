@@ -5,7 +5,9 @@ gate; a *minimal cutset* (MCS) contains no smaller cutset (paper,
 Section IV-A).  This module represents cutsets as ``frozenset[str]`` and
 provides
 
-* inclusion-minimisation of cutset families (:func:`minimize`),
+* inclusion-minimisation of cutset families (:func:`minimize`) on one
+  bitmask kernel (:func:`minimize_masks`, :func:`is_subsumed_mask`),
+  which the MOCUS search shares for its subsumption pruning,
 * per-cutset probability ``p(C) = prod p(a)`` (:func:`cutset_probability`),
 * the three standard aggregations of an MCS list: rare-event
   approximation, min-cut upper bound, and exact inclusion–exclusion
@@ -22,6 +24,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 __all__ = [
     "CutSet",
     "minimize",
+    "minimize_masks",
+    "is_subsumed_mask",
     "cutset_probability",
     "CutSetList",
 ]
@@ -29,71 +33,69 @@ __all__ = [
 CutSet = frozenset  # type alias: a cutset is a frozen set of event names
 
 
-#: Candidates up to this size use exhaustive subset enumeration (2^k
-#: hash lookups); larger ones fall back to a per-element bucket scan.
-_SUBSET_ENUM_LIMIT = 12
+#: Masks with at most this many set bits use submask enumeration for the
+#: subsumption test (at most ``2^k`` hash lookups); larger ones scan the
+#: kept list.
+_SUBMASK_ENUM_LIMIT = 12
 
 
 def minimize(cutsets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
     """Keep only the inclusion-minimal members of a family of sets.
 
-    Candidates are processed in order of size, so any set that could
-    dominate a candidate is already kept.  For the small cutsets typical
-    of fault trees the dominance test enumerates every proper subset of
-    the candidate (at most ``2^k`` hash lookups into the kept-set table)
-    — constant work per candidate, unlike pairwise scans, which degrade
-    quadratically when one frequent event appears in most cutsets.
-    Oversized candidates fall back to scanning the kept sets bucketed by
-    element.
+    Names map to bits in sorted-name order, :func:`minimize_masks` keeps
+    the minimal masks and each kept mask maps back to its input set.
     """
-    by_size = sorted(set(cutsets), key=len)
-    kept: list[frozenset[str]] = []
-    kept_lookup: set[frozenset[str]] = set()
-    buckets: dict[str, list[frozenset[str]]] = {}
+    family = set(cutsets)
+    bit_of = {
+        name: 1 << i
+        for i, name in enumerate(sorted(frozenset().union(*family)))
+    }
+    by_mask = {sum(bit_of[name] for name in member): member for member in family}
+    return [by_mask[mask] for mask in minimize_masks(list(by_mask))]
+
+
+def is_subsumed_mask(candidate: int, lookup: set[int], kept: list[int]) -> bool:
+    """Whether some kept mask is a (non-strict) submask of ``candidate``.
+
+    ``lookup`` and ``kept`` must hold the same non-empty masks (a hash
+    set and a list).  Small candidates enumerate their submasks against
+    ``lookup`` — constant work per candidate, unlike a pairwise scan,
+    which degrades quadratically when one frequent event appears in
+    most sets; larger ones scan ``kept``.  The MOCUS search uses the
+    same test to prune partial cutsets against completed ones.
+    """
+    if candidate.bit_count() <= _SUBMASK_ENUM_LIMIT:
+        # Standard submask walk: sub = (sub - 1) & candidate visits every
+        # non-empty submask exactly once, the candidate itself first.
+        sub = candidate
+        while sub:
+            if sub in lookup:
+                return True
+            sub = (sub - 1) & candidate
+        return False
+    for mask in kept:
+        if mask & ~candidate == 0:
+            return True
+    return False
+
+
+def minimize_masks(masks: list[int]) -> list[int]:
+    """Inclusion-minimal members of a family of bitmasks.
+
+    Candidates are processed in order of size, so any mask that could
+    dominate a candidate is already kept.
+    """
+    by_size = sorted(set(masks), key=int.bit_count)
+    if by_size and by_size[0] == 0:
+        return [0]  # the empty set subsumes everything
+    kept: list[int] = []
+    kept_lookup: set[int] = set()
     for candidate in by_size:
-        if not candidate:
-            return [candidate]  # the empty set subsumes everything
-        if is_subsumed(candidate, kept_lookup, buckets):
+        if kept_lookup and is_subsumed_mask(candidate, kept_lookup, kept):
             continue
         kept.append(candidate)
         kept_lookup.add(candidate)
-        for element in candidate:
-            buckets.setdefault(element, []).append(candidate)
     return kept
-
-
-def is_subsumed(
-    candidate: frozenset[str],
-    kept_lookup: set[frozenset[str]],
-    buckets: dict[str, list[frozenset[str]]],
-) -> bool:
-    """Whether some kept set is a (non-strict) subset of ``candidate``.
-
-    ``kept_lookup`` and ``buckets`` must describe the same family (a
-    hash set of all kept sets, and the kept sets indexed under each of
-    their elements).  Exposed for the MOCUS search, which uses the same
-    test to prune partial cutsets against already-completed ones.
-    """
-    if len(candidate) <= _SUBSET_ENUM_LIMIT:
-        elements = sorted(candidate)
-        # Enumerate subsets via bit masks, smallest first; include the
-        # full set itself (an exact duplicate is subsumed too).
-        for mask in range(1, 1 << len(elements)):
-            subset = frozenset(
-                elements[i] for i in range(len(elements)) if mask & (1 << i)
-            )
-            if subset in kept_lookup:
-                return True
-        return False
-    checked: set[frozenset[str]] = set()
-    for element in candidate:
-        for small in buckets.get(element, ()):
-            if small in checked:
-                continue
-            checked.add(small)
-            if small <= candidate:
-                return True
-    return False
 
 
 def cutset_probability(

@@ -23,9 +23,13 @@ Efficiency comes from three prunings:
   still a single-rounding coin flip — don't park probabilities on the
   boundary;
 * **deduplication** of identical partial cutsets (shared subtrees in the
-  DAG regenerate the same states);
+  DAG regenerate the same states).  The seen-map, the largest
+  allocation of a big search, keys each gate mask to the set of event
+  masks enqueued with it, so a child is looked up on the two masks it
+  already holds, with no key object built per state;
 * **subsumption**: a partial whose events already contain a completed
-  cutset can only yield non-minimal cutsets.
+  cutset can only yield non-minimal cutsets (the bitmask kernel of
+  :mod:`repro.ft.cutsets`, which also minimises the completed list).
 
 Internally both event sets and gate sets are integer bitmasks, so the
 hot loop is C-speed integer arithmetic; names reappear only in the final
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.errors import BudgetExceededError, CutoffError, UnknownNodeError
-from repro.ft.cutsets import CutSetList
+from repro.ft.cutsets import CutSetList, is_subsumed_mask, minimize_masks
 from repro.ft.normalize import restrict
 from repro.ft.tree import FaultTree, GateType
 from repro.robust import faults
@@ -75,11 +79,6 @@ DEFAULT_CUTOFF = 1e-15
 #: rather than of the search's multiplication order.  1e-12 relative
 #: covers ~4500 ULPs, far beyond the drift of any realistic cutset.
 _CUTOFF_SLACK = 1.0 + 1e-12
-
-#: Masks with at most this many set bits use submask enumeration for the
-#: subsumption test; larger ones scan the completed list.
-_SUBMASK_ENUM_LIMIT = 12
-
 
 @dataclass(frozen=True)
 class MocusOptions:
@@ -249,11 +248,13 @@ def mocus(
         ]
         completed_lookup = set(completed)
         stats.completed = len(completed)
-        seen = {(events, gates) for _, events, gates, _, _ in stack}
+        seen: dict[int, set[int]] = {}
+        for _, events, gates, _, _ in stack:
+            seen.setdefault(gates, set()).add(events)
         enqueued = len(stack)
     else:
         stack = [(1.0, 0, 1 << compiled.root_bit, -1, 0)]
-        seen = {(0, stack[0][2])}
+        seen = {stack[0][2]: {0}}
         completed = []
         completed_lookup = set()
         enqueued = 1
@@ -275,7 +276,7 @@ def mocus(
         }
 
     def finish() -> MocusResult:
-        minimal_masks = _minimize_masks(completed)
+        minimal_masks = minimize_masks(completed)
         stats.minimal = len(minimal_masks)
         if metrics is not None:
             metrics.count("mocus.partials_expanded", stats.partials_expanded)
@@ -326,7 +327,7 @@ def mocus(
                     if subsumed:
                         stats.partials_subsumed += 1
                         continue
-                elif _is_subsumed_mask(events, completed_lookup, completed):
+                elif is_subsumed_mask(events, completed_lookup, completed):
                     stats.partials_subsumed += 1
                     continue
             if not gates:
@@ -362,11 +363,14 @@ def mocus(
                     continue
                 new_events = events | add_events
                 new_gates = remaining | add_gates
-                state = (new_events, new_gates)
-                if state in seen:
+                same_gates = seen.get(new_gates)
+                if same_gates is None:
+                    seen[new_gates] = {new_events}
+                elif new_events in same_gates:
                     stats.partials_deduplicated += 1
                     continue
-                seen.add(state)
+                else:
+                    same_gates.add(new_events)
                 stack.append(
                     (new_probability, new_events, new_gates, events, verified_at)
                 )
@@ -550,41 +554,3 @@ def _names_to_mask(compiled: _Compiled, names: Iterable[str], gates: bool) -> in
                 f"{'gate' if gates else 'basic event'} of this tree"
             ) from None
     return mask
-
-
-# ----------------------------------------------------------------------
-# Mask-level subsumption and minimisation
-# ----------------------------------------------------------------------
-
-
-def _is_subsumed_mask(
-    candidate: int, lookup: set[int], completed: list[int]
-) -> bool:
-    """Whether some completed mask is a submask of ``candidate``."""
-    population = candidate.bit_count()
-    if population <= _SUBMASK_ENUM_LIMIT:
-        # Standard submask walk: sub = (sub - 1) & candidate visits every
-        # non-empty submask exactly once.
-        sub = candidate
-        while sub:
-            if sub in lookup:
-                return True
-            sub = (sub - 1) & candidate
-        return False
-    for mask in completed:
-        if mask & ~candidate == 0:
-            return True
-    return False
-
-
-def _minimize_masks(masks: list[int]) -> list[int]:
-    """Inclusion-minimal members of a family of bitmasks."""
-    by_size = sorted(set(masks), key=int.bit_count)
-    kept: list[int] = []
-    kept_lookup: set[int] = set()
-    for candidate in by_size:
-        if kept_lookup and _is_subsumed_mask(candidate, kept_lookup, kept):
-            continue
-        kept.append(candidate)
-        kept_lookup.add(candidate)
-    return kept

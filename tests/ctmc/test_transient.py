@@ -15,6 +15,7 @@ from repro.ctmc.chain import Ctmc
 from repro.ctmc.transient import (
     _checked_distribution,
     failure_probability,
+    occupancy_integrals,
     reach_probability,
     steady_state,
     transient_distribution,
@@ -26,6 +27,12 @@ from tests.strategies import small_ctmcs
 
 def _birth(rate=0.3):
     return Ctmc(["a", "b"], {"a": 1.0}, {("a", "b"): rate}, ["b"])
+
+
+def _stiff_repairable() -> Ctmc:
+    return Ctmc(
+        ["a", "b"], {"a": 1.0}, {("a", "b"): 1e9, ("b", "a"): 1e9}, ["b"]
+    )
 
 
 def _repairable(lam=0.2, mu=1.0):
@@ -219,15 +226,21 @@ class TestEpsilon:
         assert np.abs(tight - exact).max() <= np.abs(loose - exact).max() + 1e-13
 
     def test_stiff_chain_guard(self):
-        # Enormous q*t exceeds the term limit and must raise, not hang.
-        chain = Ctmc(
-            ["a", "b"],
-            {"a": 1.0},
-            {("a", "b"): 1e9, ("b", "a"): 1e9},
-            ["b"],
-        )
-        with pytest.raises(NumericalError):
-            transient_distribution(chain, 1e4)
+        # Enormous q*t exceeds the term limit and must raise at once,
+        # before the series loop, not after four million mat-vecs.
+        with pytest.raises(NumericalError, match="uniformization needs more"):
+            transient_distribution(_stiff_repairable(), 1e4)
+
+    def test_stiff_occupancy_guard(self):
+        with pytest.raises(NumericalError, match="occupancy series needs more"):
+            occupancy_integrals(_stiff_repairable(), 1e4)
+
+    def test_stiff_chain_guard_spares_absorbing_chains(self):
+        # The same q*t on a chain that absorbs: the early exit still
+        # finishes the series within a few terms, so nothing raises.
+        chain = Ctmc(["a", "b"], {"a": 1.0}, {("a", "b"): 1e9}, ["b"])
+        distribution = transient_distribution(chain, 1e4)
+        assert distribution[chain.index["b"]] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestEarlyExit:

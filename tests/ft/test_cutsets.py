@@ -53,9 +53,25 @@ class TestMinimize:
         assert len(result) == len(set(result))
         assert verify_minimal(result)
 
+    @given(
+        st.lists(
+            st.frozensets(
+                st.sampled_from([f"e{i:02d}" for i in range(20)]), max_size=16
+            ),
+            max_size=30,
+        )
+    )
+    def test_mask_kernel_equals_pairwise_minimisation(self, family):
+        """Every size, the empty set and members past the submask
+        enumeration limit (12 elements) included."""
+        members = set(family)
+        expected = {c for c in members if not any(o < c for o in members)}
+        result = minimize(family)
+        assert sorted(result, key=sorted) == sorted(expected, key=sorted)
+
     def test_large_sets_use_fallback_path(self):
         # Sets bigger than the submask-enumeration limit exercise the
-        # bucket-scan fallback.
+        # kept-list scan.
         big = frozenset(f"x{i}" for i in range(20))
         small = frozenset(["x0", "x1"])
         assert set(minimize([big, small])) == {small}

@@ -1,6 +1,6 @@
 """Direct tests of small helpers exercised only indirectly elsewhere."""
 
-from repro.ft.cutsets import is_subsumed
+from repro.ft.cutsets import is_subsumed_mask
 from repro.ft.scenario import restrict_scenario
 
 
@@ -21,31 +21,25 @@ class TestRestrictScenario:
 
 
 class TestIsSubsumed:
-    def _indexed(self, *sets):
-        family = [frozenset(s) for s in sets]
-        lookup = set(family)
-        buckets: dict[str, list[frozenset[str]]] = {}
-        for member in family:
-            for element in member:
-                buckets.setdefault(element, []).append(member)
-        return lookup, buckets
+    def _indexed(self, *masks):
+        return set(masks), list(masks)
 
     def test_subset_detected(self):
-        lookup, buckets = self._indexed({"a"}, {"b", "c"})
-        assert is_subsumed(frozenset({"a", "x"}), lookup, buckets)
-        assert is_subsumed(frozenset({"b", "c", "d"}), lookup, buckets)
+        lookup, kept = self._indexed(0b0001, 0b0110)
+        assert is_subsumed_mask(0b1001, lookup, kept)
+        assert is_subsumed_mask(0b1110, lookup, kept)
 
     def test_exact_duplicate_is_subsumed(self):
-        lookup, buckets = self._indexed({"a", "b"})
-        assert is_subsumed(frozenset({"a", "b"}), lookup, buckets)
+        lookup, kept = self._indexed(0b0011)
+        assert is_subsumed_mask(0b0011, lookup, kept)
 
     def test_unrelated_sets_not_subsumed(self):
-        lookup, buckets = self._indexed({"a", "b"}, {"c"})
-        assert not is_subsumed(frozenset({"a", "d"}), lookup, buckets)
+        lookup, kept = self._indexed(0b0011, 0b0100)
+        assert not is_subsumed_mask(0b1001, lookup, kept)
 
-    def test_large_candidate_uses_bucket_path(self):
-        lookup, buckets = self._indexed({"x0", "x1"})
-        big = frozenset(f"x{i}" for i in range(20))
-        assert is_subsumed(big, lookup, buckets)
-        other = frozenset(f"y{i}" for i in range(20))
-        assert not is_subsumed(other, lookup, buckets)
+    def test_large_candidate_scans_kept_list(self):
+        lookup, kept = self._indexed(0b11)
+        big = (1 << 20) - 1
+        assert is_subsumed_mask(big, lookup, kept)
+        other = ((1 << 20) - 1) << 20
+        assert not is_subsumed_mask(other, lookup, kept)

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.core.analyzer import AnalysisOptions, analyze
-from repro.core.quantify import quantify_cutset
+from repro.core.quantify import McsQuantification, quantify_cutset
 from repro.errors import CheckpointError, InjectedFaultError
 from repro.robust import faults
 from repro.robust.checkpoint import (
@@ -31,6 +31,32 @@ def test_record_round_trip(cooling_sdft):
     data = record_to_dict(record)
     json.dumps(data)  # must be JSON-serialisable as-is
     assert record_from_dict(data) == record
+
+
+def test_record_dict_equals_asdict_form():
+    record = McsQuantification(
+        cutset=frozenset({"z", "a", "m"}),
+        probability=1.5e-7,
+        is_dynamic=True,
+        n_dynamic_in_cutset=2,
+        n_dynamic_in_model=3,
+        n_added_dynamic=1,
+        chain_states=17,
+        solve_seconds=0.25,
+        cache_hit=True,
+        trivially_zero=True,
+        bounded=True,
+        lower_bound=1.0e-7,
+        rung="lumped",
+        dependencies=("a", "m", "q", "z"),
+    )
+    expected = dataclasses.asdict(record)
+    expected["cutset"] = ["a", "m", "z"]
+    data = record_to_dict(record)
+    assert data == expected
+    assert list(data) == list(expected)
+    assert isinstance(data["dependencies"], tuple)
+    assert record_from_dict(json.loads(json.dumps(data))) == record
 
 
 # ----------------------------------------------------------------------
