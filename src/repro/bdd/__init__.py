@@ -19,14 +19,7 @@ from repro.bdd.equiv import (
     union_variables,
 )
 from repro.bdd.ft_bdd import CompiledTree, compile_tree, exact_mcs, exact_probability
-from repro.bdd.ordering import (
-    ORDERINGS,
-    alphabetical_order,
-    depth_order,
-    dfs_order,
-    probability_order,
-    weight_order,
-)
+from repro.bdd.ordering import ORDERINGS, depth_order, dfs_order, weight_order
 from repro.bdd.quantify import BddQuantification, quantify_static_tree
 
 __all__ = [
@@ -36,7 +29,6 @@ __all__ = [
     "BddManager",
     "BddQuantification",
     "CompiledTree",
-    "alphabetical_order",
     "compile_into",
     "compile_tree",
     "depth_order",
@@ -45,7 +37,6 @@ __all__ = [
     "exact_probability",
     "is_monotone",
     "non_monotone_variables",
-    "probability_order",
     "quantify_static_tree",
     "trees_equivalent",
     "union_variables",

@@ -473,8 +473,8 @@ class BddManager:
         Variables absent from a yielded dict are "don't care".  Iterative
         depth-first traversal with an explicit branch stack, so path
         length (bounded by the variable count) never hits the recursion
-        limit.  Used by tests; minimal-cutset extraction lives in
-        :func:`repro.bdd.ft_bdd.minimal_cutsets_from_bdd`.
+        limit.  Minimal-cutset extraction reads it through
+        :meth:`minimal_solution_sets`.
         """
         if node == FALSE:
             return

@@ -28,15 +28,21 @@ from typing import Iterable, Mapping
 
 from repro.bdd.engine import FALSE, TRUE, BddManager
 from repro.bdd.ordering import dfs_order
-from repro.ft.tree import FaultTree, GateType
+from repro.ft.tree import FaultTree, Gate, GateType
 
 __all__ = [
+    "MIN_OPERANDS",
     "compile_into",
+    "compose_gate",
     "is_monotone",
     "non_monotone_variables",
     "trees_equivalent",
     "union_variables",
 ]
+
+#: A gate needs at least two operands before one can be dropped (or
+#: deduplicated) and still leave a well-formed gate behind.
+MIN_OPERANDS = 2
 
 
 def union_variables(
@@ -91,15 +97,27 @@ def compile_into(
         else:
             node_of[name] = manager.var(variables[name])
     for gate in tree.gates_bottom_up():
-        children = [node_of[child] for child in gate.children]
-        if gate.gate_type is GateType.AND:
-            node_of[gate.name] = manager.conjoin(children)
-        elif gate.gate_type is GateType.OR:
-            node_of[gate.name] = manager.disjoin(children)
-        else:
-            assert gate.k is not None
-            node_of[gate.name] = manager.atleast(gate.k, children)
+        node = compose_gate(manager, gate, [node_of[c] for c in gate.children])
+        assert node is not None  # a gate's own threshold fits its children
+        node_of[gate.name] = node
     return node_of
+
+
+def compose_gate(manager: BddManager, gate: Gate, children: list[int]) -> int | None:
+    """The gate's function over the given child nodes.
+
+    ``children`` may be a reduced operand list (the vacuity checks drop
+    one operand at a time); ``None`` when a voting threshold no longer
+    fits it.
+    """
+    if gate.gate_type is GateType.AND:
+        return manager.conjoin(children)
+    if gate.gate_type is GateType.OR:
+        return manager.disjoin(children)
+    assert gate.k is not None
+    if not 1 <= gate.k <= len(children):
+        return None
+    return manager.atleast(gate.k, children)
 
 
 def trees_equivalent(

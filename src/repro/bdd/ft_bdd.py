@@ -5,9 +5,9 @@ tree compiles bottom-up into one BDD per gate; the top gate's BDD gives
 
 * the exact failure probability ``p(FT)`` in time linear in BDD size
   (no rare-event error, no cutoff), and
-* the exact family of minimal cutsets, extracted with the classical
-  recursion for monotone functions (Rauzy-style minimal solutions,
-  materialised as explicit sets with per-node memoisation).
+* the exact family of minimal cutsets, read off the paths of the
+  minimal-solutions BDD (Rauzy's ``minsol`` recursion for monotone
+  functions).
 
 This module is both the production static engine's compiler (wrapped by
 :mod:`repro.bdd.quantify`, which adds ordering selection and module-wise
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.bdd.engine import FALSE, TRUE, BddManager
+from repro.bdd.engine import BddManager
 from repro.bdd.equiv import compile_into
 from repro.bdd.ordering import dfs_order
 from repro.ft.cutsets import CutSetList
@@ -57,26 +57,17 @@ class CompiledTree:
         }
         return self.manager.probability(self.root, probabilities)
 
-    def minimal_cutsets(self, method: str = "sets") -> CutSetList:
-        """Exact minimal cutsets of the top gate.
+    def minimal_cutsets(self) -> CutSetList:
+        """Exact minimal cutsets of the top gate."""
+        return self.minimal_cutsets_of(self.tree.top)
 
-        ``method`` selects the extraction: ``"sets"`` materialises
-        per-node solution families (simple, memory-bound by the MCS
-        count), ``"bdd"`` runs the classical minimal-solutions BDD
-        recursion (:meth:`repro.bdd.engine.BddManager.minsol`) and reads
-        the paths.  Both give identical families (property-tested).
+    def minimal_cutsets_of(self, gate_name: str) -> CutSetList:
+        """Exact minimal cutsets of an arbitrary gate of the tree.
+
+        Read off the paths of the minimal-solutions BDD
+        (:meth:`repro.bdd.engine.BddManager.minsol`).
         """
-        return self.minimal_cutsets_of(self.tree.top, method)
-
-    def minimal_cutsets_of(self, gate_name: str, method: str = "sets") -> CutSetList:
-        """Exact minimal cutsets of an arbitrary gate of the tree."""
-        root = self.gate_roots[gate_name]
-        if method == "sets":
-            sets = _minimal_solutions(self.manager, root)
-        elif method == "bdd":
-            sets = self.manager.minimal_solution_sets(root)
-        else:
-            raise ValueError(f"unknown extraction method {method!r}")
+        sets = self.manager.minimal_solution_sets(self.gate_roots[gate_name])
         named = [
             frozenset(self.order[i] for i in solution) for solution in sets
         ]
@@ -115,38 +106,3 @@ def exact_probability(tree: FaultTree) -> float:
 def exact_mcs(tree: FaultTree) -> CutSetList:
     """Exact minimal cutsets of ``tree`` (compile + extract in one call)."""
     return compile_tree(tree).minimal_cutsets()
-
-
-def _minimal_solutions(manager: BddManager, root: int) -> list[frozenset[int]]:
-    """Minimal solutions of a monotone BDD, as explicit variable sets.
-
-    The recursion over the positive Shannon expansion
-    ``f = x·f_high + f_low`` of a monotone function:
-
-    * every minimal solution of ``f_low`` is one of ``f``;
-    * a minimal solution ``m`` of ``f_high`` yields ``{x} ∪ m`` unless
-      some minimal solution of ``f_low`` is contained in ``m`` (then it
-      is subsumed).
-
-    Memoised per BDD node, so shared subfunctions are solved once.  The
-    result is materialised as Python sets, which bounds scalability by
-    the number of minimal cutsets — acceptable for an exact oracle.
-    """
-    cache: dict[int, list[frozenset[int]]] = {
-        FALSE: [],
-        TRUE: [frozenset()],
-    }
-
-    order = manager._nodes_below(root)
-    for node in order:
-        var = manager.top_var(node)
-        low, high = manager.cofactors(node, var)
-        low_solutions = cache[low]
-        high_solutions = cache[high]
-        kept: list[frozenset[int]] = list(low_solutions)
-        for m in high_solutions:
-            if any(s <= m for s in low_solutions):
-                continue
-            kept.append(m | {var})
-        cache[node] = kept
-    return cache[root]

@@ -21,10 +21,8 @@ from repro.ft.tree import FaultTree
 __all__ = [
     "AUTO_CANDIDATES",
     "ORDERINGS",
-    "alphabetical_order",
     "depth_order",
     "dfs_order",
-    "probability_order",
     "weight_order",
 ]
 
@@ -105,28 +103,11 @@ def depth_order(tree: FaultTree) -> list[str]:
     )
 
 
-def alphabetical_order(tree: FaultTree) -> list[str]:
-    """Events sorted by name — a deliberately structure-blind baseline."""
-    return sorted(tree.events)
-
-
-def probability_order(tree: FaultTree) -> list[str]:
-    """Events sorted by descending failure probability.
-
-    Groups the likely events near the root, which sometimes helps the
-    probability computation's numerical conditioning; mostly a foil for
-    :func:`dfs_order` in the ordering comparison tests.
-    """
-    return sorted(tree.events, key=lambda n: (-tree.events[n].probability, n))
-
-
 #: Named heuristics, addressable from options and metrics labels.
 ORDERINGS: Mapping[str, Callable[[FaultTree], list[str]]] = {
     "dfs": dfs_order,
     "weight": weight_order,
     "depth": depth_order,
-    "alphabetical": alphabetical_order,
-    "probability": probability_order,
 }
 
 #: Orders tried (in sequence, each under the node budget) by the

@@ -32,7 +32,7 @@ from repro.core.quantify import (
     quantify_model,
 )
 from repro.core.results import AnalysisResult, PerfStats, Timings, served_interval
-from repro.core.sdft import SdFaultTree
+from repro.core.sdft import SdFaultTree, as_sdft
 from repro.core.to_static import to_static
 from repro.errors import (
     AnalysisError,
@@ -445,11 +445,14 @@ def with_mocus_overrides(tree: "FaultTree", opts: AnalysisOptions) -> "FaultTree
 
 
 def analyze(
-    sdft: SdFaultTree,
+    sdft: "SdFaultTree | FaultTree",
     options: AnalysisOptions | None = None,
     reuse: "AnalysisReuse | None" = None,
 ) -> AnalysisResult:
     """Run the full SD analysis and return an :class:`AnalysisResult`.
+
+    A plain :class:`~repro.ft.tree.FaultTree` is analysed as the SD
+    fault tree with no dynamic events (:func:`~repro.core.sdft.as_sdft`).
 
     With the robustness options of :class:`AnalysisOptions` the pipeline
     survives per-cutset solver failures (degradation ladder), resource
@@ -463,7 +466,7 @@ def analyze(
     records cache (the point is to run the pipeline and capture its
     artifacts), but never changes any computed value.
     """
-    run = _Run.start(sdft, options or AnalysisOptions(), reuse)
+    run = _Run.start(as_sdft(sdft), options or AnalysisOptions(), reuse)
     _preflight_lint(run)
     _simplify_stage(run)
     _open_stores(run)
@@ -1058,7 +1061,7 @@ def _bdd_quantification(run: _Run) -> tuple[float, str, dict]:
 
         digest = tree_digest(static_tree)
         if not run.armed:
-            warm = disk.get_bdd(digest, budget, "auto")
+            warm = disk.get_bdd(digest, budget)
     if warm is not None:
         probability, nodes, ordering, modules = warm
         note = (
@@ -1073,9 +1076,7 @@ def _bdd_quantification(run: _Run) -> tuple[float, str, dict]:
             )
             span.set(nodes=nodes, ordering=ordering, modules=modules)
         if digest is not None:
-            disk.put_bdd(
-                digest, budget, "auto", probability, nodes, ordering, modules
-            )
+            disk.put_bdd(digest, budget, probability, nodes, ordering, modules)
         note = (
             f"static engine: exact BDD quantification ({nodes} nodes, "
             f"order {ordering}, {modules} modules)"

@@ -24,6 +24,12 @@ fallback:
   events whose triggers are statically satisfied use their untriggered
   view, all others contribute their passive (never-triggered) failure
   probability — the minimal exposure consistent with the semantics.
+  The remaining events are independent.  A lone one contributes its
+  reach probability, which is exact.  With two or more, "each failed
+  at some point" is not "all failed at once" (a repairable event may
+  be back up before the last one fails), so each contributes its
+  failed-state mass at the horizon instead: all of them down at time
+  ``t`` is one way of all being down together before ``t``.
 
 Both bounds multiply with the cutset's static factor as usual.  The
 analyzer uses this interval when a cutset's chain would exceed
@@ -36,7 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.cutset_model import TOP_GATE, CutsetModel
-from repro.ctmc.transient import failure_probability
+from repro.ctmc.chain import Ctmc
+from repro.ctmc.transient import failure_probability, transient_distribution
 from repro.ctmc.triggered import TriggeredCtmc
 
 __all__ = ["ProbabilityInterval", "bound_cutset"]
@@ -81,6 +88,7 @@ def bound_cutset(
 
     upper = 1.0
     lower = 1.0
+    jointly = len(top_children) > 1
     for name in top_children:
         chain = sdft_c.chain_of(name)
         if isinstance(chain, TriggeredCtmc):
@@ -95,7 +103,14 @@ def bound_cutset(
         else:
             value = failure_probability(chain, horizon, epsilon=epsilon)
             upper *= value
-            lower *= value
+            lower *= _failed_mass(chain, horizon, epsilon) if jointly else value
     return ProbabilityInterval(
         lower * model.static_factor, upper * model.static_factor
     )
+
+
+def _failed_mass(chain: Ctmc, horizon: float, epsilon: float) -> float:
+    """``Pr[X(t) ∈ F]``: the chain's failed-state mass at the horizon."""
+    distribution = transient_distribution(chain, horizon, epsilon=epsilon)
+    indices = sorted(chain.index[state] for state in chain.failed)
+    return float(min(1.0, distribution[indices].sum()))

@@ -163,12 +163,3 @@ class InjectedFaultError(ReproError):
     recovers from unless a specific error type is injected — tests
     choose the type via :func:`repro.robust.faults.inject`.
     """
-
-
-class DegradedResultWarning(UserWarning):
-    """A result was produced by a fallback strategy, not the exact solver.
-
-    Emitted (never raised) when per-cutset fault isolation substitutes a
-    cheaper rung of the degradation ladder; the structured counterpart
-    lives in the run-health report (:mod:`repro.robust.health`).
-    """

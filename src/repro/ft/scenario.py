@@ -14,7 +14,7 @@ calculations are all tested against brute-force enumeration built on
 from __future__ import annotations
 
 import itertools
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator
 
 from repro.errors import UnknownNodeError
 from repro.ft.tree import FaultTree, GateType
@@ -107,24 +107,6 @@ def exact_top_probability(tree: FaultTree) -> float:
     method.
     """
     return sum(scenario_probability(tree, s) for s in failure_scenarios(tree))
-
-
-def restrict_scenario(
-    scenario: AbstractSet[str], known: Mapping[str, bool]
-) -> frozenset[str]:
-    """Overlay hard assignments onto a scenario.
-
-    Events mapped to ``True`` in ``known`` are added, events mapped to
-    ``False`` are removed.  Used by the cutset-model construction, where
-    static events from a cutset are assumed failed.
-    """
-    result = set(scenario)
-    for name, value in known.items():
-        if value:
-            result.add(name)
-        else:
-            result.discard(name)
-    return frozenset(result)
 
 
 def minimal_failure_sets(

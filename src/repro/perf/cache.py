@@ -429,21 +429,19 @@ class SolveCache:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _bdd_key(digest: str, node_budget: "int | None", ordering: str) -> str:
-        return _digest(("bdd", SCHEMA_VERSION, digest, node_budget, ordering))
+    def _bdd_key(digest: str, node_budget: "int | None") -> str:
+        return _digest(("bdd", SCHEMA_VERSION, digest, node_budget))
 
     def get_bdd(
-        self, digest: str, node_budget: "int | None", ordering: str
+        self, digest: str, node_budget: "int | None"
     ) -> "tuple[float, int, str, int] | None":
         """Cached ``(probability, node_count, ordering_used, n_modules)``.
 
-        Keyed by the static tree's content digest plus the two knobs
-        that select the compilation (the node budget and the requested
-        ordering) — the quantification is a pure function of those.
+        Keyed by the static tree's content digest plus the node budget
+        the automatic ordering selection ran under — the quantification
+        is a pure function of those.
         """
-        payload = self._read(
-            "bdd", self._bdd_key(digest, node_budget, ordering)
-        )
+        payload = self._read("bdd", self._bdd_key(digest, node_budget))
         if payload is not None:
             probability = payload.get("probability")
             node_count = payload.get("node_count")
@@ -472,7 +470,6 @@ class SolveCache:
         self,
         digest: str,
         node_budget: "int | None",
-        ordering: str,
         probability: float,
         node_count: int,
         ordering_used: str,
@@ -487,7 +484,7 @@ class SolveCache:
             return  # never persist an implausible value
         self._write(
             "bdd",
-            self._bdd_key(digest, node_budget, ordering),
+            self._bdd_key(digest, node_budget),
             {
                 "probability": probability,
                 "node_count": int(node_count),

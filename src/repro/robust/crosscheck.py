@@ -216,7 +216,7 @@ def _recheck_sample(
 
 
 # ----------------------------------------------------------------------
-# 2. BDD oracle on small trees
+# 2. BDD oracle against the exact minimal cutsets
 # ----------------------------------------------------------------------
 
 
@@ -249,9 +249,8 @@ def _bdd_oracle(
     from repro.errors import BddBudgetExceeded
     from repro.ft.cutsets import cutset_probability
 
-    node_budget = getattr(opts, "bdd_node_budget", 200_000)
     try:
-        compiled = compile_tree(mocus_tree, node_budget=node_budget)
+        compiled = compile_tree(mocus_tree, node_budget=opts.bdd_node_budget)
         exact_p = compiled.probability()
     except BddBudgetExceeded as error:
         skipped.append(f"BDD oracle: node budget tripped ({error})")
@@ -286,6 +285,7 @@ def _bdd_oracle(
         )
         return True
 
+    # Enumerates the minsol root just counted (memoised on the manager).
     exact_family = compiled.minimal_cutsets()
     exact_sets = set(exact_family)
     full_sum = exact_family.rare_event()

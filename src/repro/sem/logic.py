@@ -27,14 +27,16 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from repro.bdd.engine import FALSE, TRUE, BddManager
-from repro.bdd.equiv import compile_into, non_monotone_variables, union_variables
-from repro.ft.tree import FaultTree, Gate, GateType
+from repro.bdd.equiv import (
+    MIN_OPERANDS,
+    compile_into,
+    compose_gate,
+    non_monotone_variables,
+    union_variables,
+)
+from repro.ft.tree import FaultTree
 
 __all__ = ["LogicReport", "VacuousOperand", "logical_diagnostics"]
-
-#: A gate needs at least this many operands before one can be vacuous
-#: (removing the only operand would not leave a gate behind).
-_MIN_OPERANDS_FOR_VACUITY = 2
 
 
 @dataclass(frozen=True)
@@ -124,25 +126,13 @@ def _vacuous_operands(
             continue
         if node_of[gate.name] in (FALSE, TRUE):
             continue
-        if len(gate.children) < _MIN_OPERANDS_FOR_VACUITY:
+        if len(gate.children) < MIN_OPERANDS:
             continue
         for operand in gate.children:
             rest = [node_of[child] for child in gate.children if child != operand]
-            without = _compose(manager, gate, rest)
+            without = compose_gate(manager, gate, rest)
             if without is not None and without == node_of[gate.name]:
                 yield VacuousOperand(gate=gate.name, operand=operand)
-
-
-def _compose(manager: BddManager, gate: Gate, children: list[int]) -> int | None:
-    """The gate's function over a reduced child list; ``None`` if undefined."""
-    if gate.gate_type is GateType.AND:
-        return manager.conjoin(children)
-    if gate.gate_type is GateType.OR:
-        return manager.disjoin(children)
-    assert gate.k is not None
-    if not 1 <= gate.k <= len(children):
-        return None
-    return manager.atleast(gate.k, children)
 
 
 def _dead_events(

@@ -39,7 +39,13 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from repro.bdd.engine import FALSE, TRUE, BddManager
-from repro.bdd.equiv import compile_into, trees_equivalent, union_variables
+from repro.bdd.equiv import (
+    MIN_OPERANDS,
+    compile_into,
+    compose_gate,
+    trees_equivalent,
+    union_variables,
+)
 from repro.core.sdft import SdFaultTree
 from repro.errors import BddBudgetExceeded, InvariantViolation
 from repro.ft.tree import BasicEvent, FaultTree, Gate, GateType
@@ -54,10 +60,6 @@ DEFAULT_NODE_BUDGET = 200_000
 #: (strictly shrinking gate count or operand count) or ends the loop, so
 #: this is a backstop, not a tuning knob.
 _MAX_ROUNDS = 50
-
-#: A gate needs at least two operands for per-operand rewrites (dropping
-#: one, or deduplicating) to leave a well-formed gate behind.
-_MIN_OPERANDS = 2
 
 
 @dataclass(frozen=True)
@@ -505,7 +507,7 @@ def _duplicate_gates(
         groups.setdefault(root, []).append(name)
     substitution: dict[str, str] = {}
     for names in groups.values():
-        if len(names) < _MIN_OPERANDS:
+        if len(names) < MIN_OPERANDS:
             continue
         names.sort(key=lambda n: position[n])
         protected = [n for n in names if n in state.protected]
@@ -559,11 +561,11 @@ def _drop_vacuous_operands(
             continue
         kept = list(gate.children)
         for operand in tuple(kept):
-            if len(kept) < _MIN_OPERANDS:
+            if len(kept) < MIN_OPERANDS:
                 break
             rest = [c for c in kept if c != operand]
             try:
-                without = _compose(manager, gate, [node_of[c] for c in rest])
+                without = compose_gate(manager, gate, [node_of[c] for c in rest])
             except BddBudgetExceeded:
                 state.budget_hit = True
                 return
@@ -576,17 +578,6 @@ def _drop_vacuous_operands(
                 )
         if len(kept) != len(gate.children):
             state.gates[name] = replace(gate, children=tuple(kept))
-
-
-def _compose(manager: BddManager, gate: Gate, children: list[int]) -> int | None:
-    if gate.gate_type is GateType.AND:
-        return manager.conjoin(children)
-    if gate.gate_type is GateType.OR:
-        return manager.disjoin(children)
-    assert gate.k is not None
-    if not 1 <= gate.k <= len(children):
-        return None
-    return manager.atleast(gate.k, children)
 
 
 # ----------------------------------------------------------------------

@@ -357,10 +357,3 @@ class AnalysisSession:
                 sdft=self.model,
                 records=result.records,
             )
-
-
-def session_for(
-    model: SdFaultTree, options: AnalysisOptions | None = None
-) -> AnalysisSession:
-    """Convenience constructor mirroring ``analyze(model, options)``."""
-    return AnalysisSession(model, options)

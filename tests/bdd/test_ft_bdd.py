@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from repro.bdd.ft_bdd import compile_tree, exact_mcs, exact_probability
-from repro.bdd.ordering import alphabetical_order, dfs_order, probability_order
+from repro.bdd.ordering import ORDERINGS
 from repro.ft.scenario import exact_top_probability, minimal_failure_sets
 
 from tests.strategies import fault_trees
@@ -33,7 +33,7 @@ class TestExactProbability:
     def test_order_independence(self, tree):
         """Different variable orders give different BDDs, same probability."""
         values = []
-        for order_fn in (dfs_order, alphabetical_order, probability_order):
+        for order_fn in ORDERINGS.values():
             compiled = compile_tree(tree, order_fn(tree))
             values.append(compiled.probability())
         assert max(values) - min(values) < 1e-12
@@ -62,20 +62,24 @@ class TestExactMcs:
 
 
 class TestMinsolBdd:
-    """The BDD-level minimal-solutions recursion vs the explicit sets."""
+    """Minimal cutsets read off the minimal-solutions BDD (``minsol``)."""
 
     @given(fault_trees(max_events=7, max_gates=6))
     def test_methods_agree(self, tree):
+        """The top-gate and any-gate extractions list every minsol path once."""
         compiled = compile_tree(tree)
-        explicit = set(compiled.minimal_cutsets(method="sets").cutsets)
-        bdd_level = set(compiled.minimal_cutsets(method="bdd").cutsets)
-        assert explicit == bdd_level
+        top = compiled.minimal_cutsets()
+        assert set(top.cutsets) == set(
+            compiled.minimal_cutsets_of(tree.top).cutsets
+        )
+        paths = compiled.manager.count_paths(compiled.manager.minsol(compiled.root))
+        assert len(top) == paths
 
     @given(fault_trees(max_events=7, max_gates=6))
     def test_bdd_method_matches_brute_force(self, tree):
         compiled = compile_tree(tree)
         expected = set(minimal_failure_sets(tree))
-        assert set(compiled.minimal_cutsets(method="bdd").cutsets) == expected
+        assert set(compiled.minimal_cutsets().cutsets) == expected
 
     def test_minsol_idempotent(self, cooling_tree):
         compiled = compile_tree(cooling_tree)
@@ -84,10 +88,25 @@ class TestMinsolBdd:
         twice = manager.minsol(once)
         assert once == twice
 
-    def test_unknown_method_rejected(self, cooling_tree):
-        compiled = compile_tree(cooling_tree)
-        with pytest.raises(ValueError):
-            compiled.minimal_cutsets(method="magic")
+
+class TestBundledFamilies:
+    """Exact minimal-cutset family sizes of the bundled static models."""
+
+    def test_bwr_static(self):
+        from repro.models.bwr import BwrConfig, build_bwr
+
+        tree = build_bwr(BwrConfig(dynamic=False)).structure
+        assert len(exact_mcs(tree)) == 4_795
+
+    def test_model_1(self):
+        from repro.models import model_1
+
+        assert len(exact_mcs(model_1())) == 100_651
+
+    def test_model_2(self):
+        from repro.models import model_2
+
+        assert len(exact_mcs(model_2())) == 117_478
 
 
 class TestCompiledTree:

@@ -27,8 +27,8 @@ class TestBoundCutset:
         assert interval.lower == interval.upper == pytest.approx(9e-6)
 
     def test_untriggered_dynamic_is_tight(self, cooling_sdft):
-        """Untriggered events are genuinely independent: both ends agree
-        and equal the exact quantification."""
+        """A lone untriggered dynamic event is tight: its reach
+        probability is both ends and equals the exact quantification."""
         model = build_cutset_model(cooling_sdft, frozenset({"b", "c"}))
         interval = bound_cutset(model, 24.0)
         exact = quantify_cutset(cooling_sdft, frozenset({"b", "c"}), 24.0)
@@ -44,6 +44,29 @@ class TestBoundCutset:
         p_single = 1 - math.exp(-0.001 * 24)
         assert interval.upper == pytest.approx(p_single**2, rel=1e-9)
         assert interval.lower == 0.0
+
+
+    def test_two_repairable_untriggered_events_bracket_exact(self):
+        """Each failing at some point is not both failing at once: with
+        two repairable events the lower end drops below the product of
+        reach probabilities and still brackets the exact value."""
+        b = SdFaultTreeBuilder("two-repairable")
+        b.dynamic_event("x", repairable(0.01, 0.5))
+        b.dynamic_event("y", repairable(0.01, 0.5))
+        b.and_("top", "x", "y")
+        sdft = b.build("top")
+        cutset = frozenset({"x", "y"})
+        interval = bound_cutset(build_cutset_model(sdft, cutset), 24.0)
+        exact = quantify_cutset(sdft, cutset, 24.0).probability
+        assert interval.lower <= exact <= interval.upper
+        assert interval.lower < exact < interval.upper
+
+    def test_sbo_full_verification_passes(self):
+        """The ladder-bracket check on SBO needs the sound lower end."""
+        from repro.models import build_sbo
+
+        result = analyze(build_sbo(), AnalysisOptions(verify="full", cutoff=1e-12))
+        assert result.health.is_clean
 
 
 class TestOversizeFallback:

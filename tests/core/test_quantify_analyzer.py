@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.analyzer import AnalysisOptions, analyze, analyze_exact, analyze_static
 from repro.core.quantify import QuantificationCache, quantify_cutset
-from repro.core.sdft import SdFaultTreeBuilder
+from repro.core.sdft import SdFaultTreeBuilder, as_sdft
 from repro.ctmc.builders import repairable, triggered_repairable
 from repro.ctmc.transient import failure_probability
 
@@ -88,6 +88,16 @@ class TestAnalyzeRunningExample:
         p24 = analyze(cooling_sdft, AnalysisOptions(horizon=24.0)).failure_probability
         p96 = analyze(cooling_sdft, AnalysisOptions(horizon=96.0)).failure_probability
         assert p96 > p24
+
+
+class TestPlainFaultTree:
+    def test_static_tree_is_promoted(self, cooling_tree):
+        """A plain FaultTree is analysed as the SD tree with no dynamics."""
+        result = analyze(cooling_tree, AnalysisOptions(cutoff=0.0))
+        promoted = analyze(as_sdft(cooling_tree), AnalysisOptions(cutoff=0.0))
+        assert result.failure_probability == promoted.failure_probability
+        assert result.n_cutsets == 5
+        assert result.n_dynamic_cutsets == 0
 
 
 class TestStaticCutoffOverrides:

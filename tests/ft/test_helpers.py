@@ -1,23 +1,6 @@
 """Direct tests of small helpers exercised only indirectly elsewhere."""
 
 from repro.ft.cutsets import is_subsumed_mask
-from repro.ft.scenario import restrict_scenario
-
-
-class TestRestrictScenario:
-    def test_overlay_adds_and_removes(self):
-        scenario = frozenset({"a", "b"})
-        result = restrict_scenario(scenario, {"b": False, "c": True})
-        assert result == frozenset({"a", "c"})
-
-    def test_empty_overlay_is_identity(self):
-        scenario = frozenset({"x"})
-        assert restrict_scenario(scenario, {}) == scenario
-
-    def test_original_not_mutated(self):
-        scenario = frozenset({"a"})
-        restrict_scenario(scenario, {"a": False})
-        assert scenario == frozenset({"a"})
 
 
 class TestIsSubsumed:

@@ -1,4 +1,4 @@
-"""Tests of tree transformations: ATLEAST expansion, restriction, pruning."""
+"""Tests of partial evaluation (:func:`repro.ft.normalize.restrict`)."""
 
 import itertools
 
@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from repro.errors import UnknownNodeError
 from repro.ft.builder import FaultTreeBuilder
-from repro.ft.normalize import expand_atleast, prune, restrict
+from repro.ft.normalize import restrict
 from repro.ft.scenario import fails, fails_top
-from repro.ft.tree import GateType
 
 from tests.strategies import fault_trees
 
@@ -21,34 +20,6 @@ def _vote_tree():
     b.atleast("vote", 2, "a", "b", "c")
     b.or_("top", "vote", "d")
     return b.build("top")
-
-
-class TestExpandAtleast:
-    def test_structure_is_and_or_only(self):
-        expanded = expand_atleast(_vote_tree())
-        assert all(
-            g.gate_type in (GateType.AND, GateType.OR)
-            for g in expanded.gates.values()
-        )
-
-    def test_degenerate_thresholds(self):
-        b = FaultTreeBuilder()
-        b.events([("a", 0.1), ("b", 0.1)])
-        b.atleast("all", 2, "a", "b")
-        b.atleast("any", 1, "a", "b")
-        b.and_("top", "all", "any")
-        expanded = expand_atleast(b.build("top"))
-        assert expanded.gates["all"].gate_type is GateType.AND
-        assert expanded.gates["any"].gate_type is GateType.OR
-
-    @given(fault_trees(max_events=6, max_gates=5))
-    def test_equivalent_on_all_scenarios(self, tree):
-        expanded = expand_atleast(tree)
-        names = sorted(tree.events)
-        for r in range(len(names) + 1):
-            for combo in itertools.combinations(names, r):
-                scenario = frozenset(combo)
-                assert fails_top(tree, scenario) == fails_top(expanded, scenario)
 
 
 class TestRestrict:
@@ -124,15 +95,3 @@ class TestRestrict:
                 else:
                     kept = frozenset(combo) & residual_events
                     assert fails_top(restriction.tree, kept) == expected
-
-
-class TestPrune:
-    def test_unreachable_nodes_removed(self):
-        b = FaultTreeBuilder()
-        b.events([("a", 0.1), ("orphan", 0.2)])
-        b.or_("top", "a")
-        b.or_("dead", "orphan")
-        tree = b.build("top")
-        pruned = prune(tree)
-        assert set(pruned.events) == {"a"}
-        assert set(pruned.gates) == {"top"}

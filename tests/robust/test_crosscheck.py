@@ -120,3 +120,14 @@ class TestAnalyzerFullMode:
             cooling_sdft, AnalysisOptions(horizon=HORIZON, verify="full")
         )
         assert full.failure_probability == baseline.failure_probability
+
+    def test_full_mode_finishes_on_model_1(self):
+        """The oracle enumerates model_1's 100,651 exact minimal cutsets
+        and serves the cheap mode's answer."""
+        from repro.models import model_1
+
+        tree = model_1()
+        full = analyze(tree, AnalysisOptions(verify="full", cutoff=1e-12))
+        cheap = analyze(tree, AnalysisOptions(verify="cheap", cutoff=1e-12))
+        assert full.failure_probability == cheap.failure_probability
+        assert any("BDD oracle checked" in e.message for e in full.health.events)

@@ -15,15 +15,11 @@ from repro.service.edits import (
     SetProbability,
     apply_edits,
 )
-from repro.service.session import (
-    AnalysisSession,
-    assert_bit_identical,
-    session_for,
-)
+from repro.service.session import AnalysisSession, assert_bit_identical
 
 
 def test_cold_session_matches_one_shot(cooling_sdft, options):
-    session = session_for(cooling_sdft, options)
+    session = AnalysisSession(cooling_sdft, options)
     result = session.analyze()
     reference = analyze(cooling_sdft, options)
     assert_bit_identical(result, reference)
