@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--degrade",
         action="store_true",
         help="per-cutset fault isolation: retry failing cutsets down the "
-        "degradation ladder (exact -> lumped -> Monte-Carlo -> bound) "
+        "degradation ladder (exact -> lumped -> bound) "
         "instead of aborting the run",
     )
     analyze_cmd.add_argument(
@@ -106,33 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="soft cap on generated cutsets (truncates, never crashes)",
-    )
-    analyze_cmd.add_argument(
-        "--mc-runs",
-        "--mc-max-runs",
-        dest="mc_runs",
-        type=int,
-        default=4_000,
-        metavar="N",
-        help="cap on total trajectories per Monte-Carlo fallback "
-        "estimate (with --degrade; default 4000)",
-    )
-    analyze_cmd.add_argument(
-        "--mc-target-re",
-        type=float,
-        default=0.10,
-        metavar="FRACTION",
-        help="target 95%% relative half-width of the Monte-Carlo rung's "
-        "rare-event estimator (default 0.10); the health report states "
-        "the precision actually achieved",
-    )
-    analyze_cmd.add_argument(
-        "--mc-engine",
-        choices=("auto", "crude", "is", "splitting"),
-        default="auto",
-        help="estimator of the Monte-Carlo rung: crude sampling, "
-        "failure-biased importance sampling ('is'), importance "
-        "splitting, or 'auto' (a pilot batch decides; default)",
     )
     analyze_cmd.add_argument(
         "--checkpoint",
@@ -533,9 +506,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         wall_seconds=args.wall_seconds,
         max_total_states=args.max_total_states,
         budget_cutsets=args.budget_cutsets,
-        monte_carlo_runs=args.mc_runs,
-        mc_target_rel_error=args.mc_target_re,
-        mc_engine=args.mc_engine,
         checkpoint_path=args.checkpoint,
         checkpoint_interval_seconds=args.checkpoint_interval,
         resume=args.resume,

@@ -116,8 +116,8 @@ class AnalysisOptions:
     * ``fault_isolation`` — a failure quantifying one cutset no longer
       aborts the run; the degradation ladder
       (:mod:`repro.robust.ladder`) retries that cutset down
-      exact → lumped → Monte-Carlo → conservative bound, widening the
-      result into an interval and recording every descent in the
+      exact → lumped → conservative §VIII bound, widening the result
+      into a provable interval and recording every descent in the
       run-health report.
     * ``wall_seconds`` / ``max_total_states`` / ``budget_cutsets`` — a
       cooperative :class:`~repro.robust.budget.Budget`; running out
@@ -128,17 +128,6 @@ class AnalysisOptions:
       ``resume=True`` restarts a killed run from the snapshot (a
       fingerprint mismatch raises
       :class:`~repro.errors.CheckpointError`).
-    * ``monte_carlo_runs`` / ``monte_carlo_seed`` control the ladder's
-      simulation rung (seeded deterministically per cutset).
-    * ``mc_target_rel_error`` / ``mc_engine`` tune the simulation
-      rung's rare-event controller (:mod:`repro.ctmc.rare`):
-      ``mc_engine`` is ``"auto"`` (a crude pilot batch picks between
-      crude sampling, failure-biased importance sampling and
-      importance splitting), ``"crude"``, ``"is"`` or ``"splitting"``;
-      the controller iterates until the 95 % relative half-width drops
-      below ``mc_target_rel_error``, ``monte_carlo_runs`` trajectories
-      are spent, or the budget expires — the health report then names
-      the engine used and the precision actually achieved.
     * ``verify`` — runtime self-verification (:mod:`repro.robust.verify`):
       ``"off"`` (default) does nothing; ``"cheap"`` asserts the invariant
       catalogue (probabilities in range, intervals ordered, per-cutset
@@ -240,10 +229,6 @@ class AnalysisOptions:
     wall_seconds: float | None = None
     max_total_states: int | None = None
     budget_cutsets: int | None = None
-    monte_carlo_runs: int = 4_000
-    monte_carlo_seed: int = 0
-    mc_target_rel_error: float = 0.10
-    mc_engine: str = "auto"
     checkpoint_path: str | None = None
     checkpoint_interval_seconds: float = 30.0
     resume: bool = False
@@ -265,7 +250,6 @@ class AnalysisOptions:
         choices = (
             ("static_engine", self.static_engine, ("auto", "bdd", "mcs")),
             ("on_oversize", self.on_oversize, ("raise", "bounds")),
-            ("mc_engine", self.mc_engine, ("auto", "crude", "is", "splitting")),
         )
         for name, value, allowed in choices:
             if value not in allowed:
@@ -277,8 +261,6 @@ class AnalysisOptions:
             ("horizon", 0.0 <= self.horizon < math.inf, "finite and >= 0"),
             ("cutoff", self.cutoff >= 0.0, ">= 0"),
             ("epsilon", 0.0 < self.epsilon < 1.0, "in (0, 1)"),
-            ("mc_target_rel_error", self.mc_target_rel_error > 0.0, "> 0"),
-            ("monte_carlo_runs", self.monte_carlo_runs >= 1, ">= 1"),
             (
                 "pool_task_timeout_seconds",
                 timeout is None or timeout > 0.0,
@@ -368,9 +350,9 @@ def derived_run_options(opts: AnalysisOptions) -> AnalysisOptions:
     return replace(opts, trace_path=None, checkpoint_path=None, resume=False)
 
 
-#: Rungs whose records a later run may reuse.  Skipped, Monte Carlo and
-#: ladder-bound records are products of one run's budget pressure or
-#: faults: a fresh run would do better.
+#: Rungs whose records a later run may reuse.  Skipped and ladder-bound
+#: records are products of one run's budget pressure or faults: a fresh
+#: run would do better.
 _REUSABLE_RUNGS = ("exact", "lumped")
 
 
@@ -673,10 +655,6 @@ def _records_options_key(opts: AnalysisOptions) -> tuple:
         opts.lump_chains,
         overrides,
         opts.fault_isolation,
-        opts.monte_carlo_runs,
-        opts.monte_carlo_seed,
-        repr(opts.mc_target_rel_error),
-        opts.mc_engine,
         opts.static_engine == "mcs",
         opts.bdd_node_budget,
         opts.simplify,
@@ -1373,10 +1351,6 @@ class _QuantifyContext:
                 max_chain_states=opts.max_chain_states,
                 lump_chains=opts.lump_chains,
                 budget=run.budget,
-                monte_carlo_runs=opts.monte_carlo_runs,
-                monte_carlo_seed=opts.monte_carlo_seed,
-                monte_carlo_target_rel_error=opts.mc_target_rel_error,
-                monte_carlo_engine=opts.mc_engine,
                 obs=run.obs if run.obs.enabled else None,
                 model=model,
             )
@@ -1388,11 +1362,11 @@ class _QuantifyContext:
                     rung=attempt.rung,
                 )
             if outcome.degraded:
-                detail = "fallback value substituted"
-                if outcome.note:
-                    detail = f"{detail} ({outcome.note})"
                 health.degradation(
-                    "quantify", detail, cutset=cutset, rung=outcome.rung
+                    "quantify",
+                    "fallback value substituted",
+                    cutset=cutset,
+                    rung=outcome.rung,
                 )
             return outcome.record
         if model is None:

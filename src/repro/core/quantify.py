@@ -76,7 +76,7 @@ class McsQuantification:
     lower_bound: float | None = None
     #: Degradation-ladder rung that produced the value: ``"exact"`` for
     #: the full transient solve (also static/trivial cutsets),
-    #: ``"lumped"``, ``"monte_carlo"``, ``"bound"``, or ``"skipped"``
+    #: ``"lumped"``, ``"bound"``, or ``"skipped"``
     #: (budget ran out; value is the conservative static bound).
     rung: str = "exact"
     #: Names of every basic event whose content the value reads (see

@@ -34,8 +34,7 @@ crude pilot batch — common events stay on cheap crude batches, rare
 ones go to importance sampling, and splitting takes over when biasing
 alone stalls (zero weighted failures after the stall window).  The
 controller iterates in batches until the target relative half-width
-``target_rel_error`` is met, the run budget is exhausted, or the
-cooperative :class:`~repro.robust.budget.Budget` expires — and always
+``target_rel_error`` is met or the run budget is exhausted — and always
 reports the precision actually achieved, not the one requested.
 """
 
@@ -53,7 +52,6 @@ from repro.robust import faults
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry, NullMetrics
-    from repro.robust.budget import Budget
 
 __all__ = [
     "RareEventConfig",
@@ -120,10 +118,9 @@ class RareEventResult:
 
     ``achieved_rel_error`` is the realised 95 % relative half-width
     (``inf`` when nothing was observed); ``converged`` says whether the
-    target was met before the run budget or the cooperative budget ran
-    out.  ``unresolved_mass`` is the per-run mean weight of retired
-    (floor/step-capped) trajectories — an upper-end widening, never a
-    hidden loss.
+    target was met before the run budget ran out.  ``unresolved_mass``
+    is the per-run mean weight of retired (floor/step-capped)
+    trajectories — an upper-end widening, never a hidden loss.
     """
 
     estimate: float
@@ -141,7 +138,7 @@ class RareEventResult:
         """A bracketing interval that is never empty.
 
         Crude tallies keep the generous ``sigmas · max(SE, 1/n)`` band
-        of the ladder's historical Monte-Carlo rung; the weighted
+        (a zero-variance crude tally still gets width); the weighted
         engines use their own (much tighter, still valid) standard
         error.  Zero observed failures fall back to the rule-of-three
         upper bound; non-finite estimates propagate so the invariant
@@ -465,15 +462,12 @@ def _run_splitting(
     horizon: float,
     rng: np.random.Generator,
     config: RareEventConfig,
-    budget: "Budget | None",
     runs_used: int,
 ) -> tuple[list[_Replication], int]:
-    """Independent splitting replications under the run and wall budgets."""
+    """Independent splitting replications under the run budget."""
     max_level = len(kernel.semantics.order)
     replications: list[_Replication] = []
     for _ in range(config.splitting_replications):
-        if budget is not None and budget.expired():
-            break
         if runs_used >= config.max_runs and replications:
             break
         replication = _splitting_replication(
@@ -509,16 +503,15 @@ def estimate_failure_probability(
     horizon: float,
     config: RareEventConfig | None = None,
     seed: int | None = None,
-    budget: "Budget | None" = None,
     metrics: "MetricsRegistry | NullMetrics | None" = None,
 ) -> RareEventResult:
     """Estimate ``Pr[Reach^{<=t}(F)]``, adaptively handling rare events.
 
     Deterministic in ``seed``: the same seed yields bit-identical
     results regardless of how the caller parallelised *other* work.
-    Stops at ``config.target_rel_error``, at ``config.max_runs``, or
-    when ``budget`` expires — whichever comes first — and reports the
-    precision actually achieved in the result.  Raises
+    Stops at ``config.target_rel_error`` or at ``config.max_runs`` —
+    whichever comes first — and reports the precision actually achieved
+    in the result.  Raises
     :class:`~repro.errors.NumericalError` only when the model cannot be
     simulated at all.
     """
@@ -548,8 +541,6 @@ def estimate_failure_probability(
         tables = _BiasTables(kernel) if engine == "is" else None
         stalled = 0
         while tally.n < cfg.max_runs:
-            if budget is not None and budget.expired():
-                break
             if tally.rel_error <= cfg.target_rel_error:
                 break
             batch = min(cfg.batch_size, cfg.max_runs - tally.n)
@@ -564,7 +555,7 @@ def estimate_failure_probability(
     if engine == "splitting":
         tables = _BiasTables(kernel)
         replications, runs_used = _run_splitting(
-            kernel, tables, horizon, rng, cfg, budget, tally.n
+            kernel, tables, horizon, rng, cfg, tally.n
         )
         if replications:
             estimates = np.array([r.estimate for r in replications])

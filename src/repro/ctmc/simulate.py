@@ -20,6 +20,13 @@ actually visits.  The crude estimator here and the rare-event engines of
 :mod:`repro.ctmc.rare` (failure-biased importance sampling, fixed-effort
 splitting) share it, so all of them agree on the semantics — only the
 sampling measure differs.
+
+Simulation is a cross-check, never a served answer: the crude estimator
+backs ``sdft simulate`` and the examples, the rare-event engines back
+the ``verify="full"`` statistical check of
+:mod:`repro.robust.crosscheck`.  A cutset the exact solvers cannot
+handle is served the provable Section VIII interval instead (see
+:mod:`repro.robust.ladder`).
 """
 
 from __future__ import annotations
@@ -92,8 +99,8 @@ class TrajectoryKernel:
     the distinction the failure-biasing sampler of
     :mod:`repro.ctmc.rare` needs).  Nothing is enumerated up front:
     unlike :func:`repro.ctmc.product.build_product` the kernel only ever
-    pays for states that are actually sampled, which is what makes the
-    simulation rungs usable exactly when the product space is too big
+    pays for states that are actually sampled, which is what keeps the
+    simulators usable as cross-checks when the product space is too big
     to build.  States are the coded tuples of
     :class:`~repro.ctmc.product.SdSemantics`, whose moves and trigger
     updates the kernel shares with the product construction.

@@ -9,8 +9,8 @@ The classes here are deliberately plain data: :class:`BasicEvent` and
 :class:`Gate` are frozen dataclasses and :class:`FaultTree` is an
 immutable container with cached structural queries (parents, topological
 order, per-gate descendant sets).  Use :class:`repro.ft.builder.FaultTreeBuilder`
-to construct trees conveniently and :mod:`repro.ft.validate` to check
-structural invariants.
+to construct trees conveniently and :func:`repro.lint.lint` to check
+structural soundness beyond the hard invariants.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""Structural validation and linting of static fault trees.
+"""Size statistics of static fault trees.
 
 :class:`FaultTree` construction already enforces hard invariants (unique
-names, known children, acyclicity, probability ranges).  This module
-adds soft diagnostics a modeller wants before trusting an analysis:
-unreachable nodes, single-input gates, constant-probability events, and
-size statistics.
+names, known children, acyclicity, probability ranges); the soft
+diagnostics a modeller wants before trusting an analysis — unreachable
+nodes, single-input gates, constant-probability events — are the
+linter's SD1xx/SD2xx rules (:mod:`repro.lint`).  This module keeps the
+size statistics reported in the benchmark tables.
 """
 
 from __future__ import annotations
@@ -13,71 +14,7 @@ from dataclasses import dataclass
 
 from repro.ft.tree import FaultTree, GateType
 
-__all__ = ["Issue", "ValidationReport", "validate", "tree_stats", "TreeStats"]
-
-
-@dataclass(frozen=True)
-class Issue:
-    """One diagnostic finding: a severity, the node concerned, a message."""
-
-    severity: str  # "warning" or "info"
-    node: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """All diagnostics for one tree."""
-
-    issues: tuple[Issue, ...]
-
-    @property
-    def warnings(self) -> tuple[Issue, ...]:
-        """Only the warning-level issues."""
-        return tuple(i for i in self.issues if i.severity == "warning")
-
-    def __bool__(self) -> bool:
-        """A report is truthy when there are no warnings."""
-        return not self.warnings
-
-
-def validate(tree: FaultTree) -> ValidationReport:
-    """Lint ``tree`` and return a :class:`ValidationReport`."""
-    issues: list[Issue] = []
-    reachable = tree.reachable_from_top()
-    for name in sorted(tree.events):
-        if name not in reachable:
-            issues.append(
-                Issue("warning", name, "basic event unreachable from the top gate")
-            )
-        event = tree.events[name]
-        if event.probability == 0.0:
-            issues.append(
-                Issue("info", name, "probability 0: event can never contribute")
-            )
-        elif event.probability == 1.0:
-            issues.append(
-                Issue("warning", name, "probability 1: event is certain to fail")
-            )
-        elif event.probability > 0.1:
-            issues.append(
-                Issue(
-                    "info",
-                    name,
-                    f"probability {event.probability} is large; the rare-event "
-                    f"approximation degrades above ~1e-1",
-                )
-            )
-    for name, gate in sorted(tree.gates.items()):
-        if name not in reachable:
-            issues.append(
-                Issue("warning", name, "gate unreachable from the top gate")
-            )
-        if len(gate.children) == 1 and gate.gate_type is not GateType.ATLEAST:
-            issues.append(
-                Issue("info", name, "single-input gate (acts as a pass-through)")
-            )
-    return ValidationReport(tuple(issues))
+__all__ = ["tree_stats", "TreeStats"]
 
 
 @dataclass(frozen=True)

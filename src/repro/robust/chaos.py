@@ -28,9 +28,6 @@ silent value corruptions (NaN, negative, over-unity, inflated — all
 chosen to be *detectable* by the ``verify`` layer's invariants; a
 sub-worst-case inflation can only be caught by ``verify="full"``
 re-quantification and is deliberately not part of the campaign),
-rare-event corruptions (a poisoned likelihood ratio and a silently
-inflated estimate inside :mod:`repro.ctmc.rare`, each paired with a
-persistent solver failure so the Monte-Carlo rung is actually reached),
 persistent-cache faults (a NaN served from a prewarmed on-disk solve
 cache, and a cache prewarmed at a *different horizon* whose stale
 entries must miss, not serve) and — when ``jobs > 1`` —
@@ -46,12 +43,7 @@ import os
 import signal
 import tempfile
 import time
-from contextlib import (
-    AbstractContextManager,
-    ExitStack,
-    contextmanager,
-    nullcontext,
-)
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -231,20 +223,6 @@ def _worker_hang_once(parent_pid: int, latch_path: str) -> Callable[..., bool]:
     return predicate
 
 
-@contextmanager
-def _compound(*arms: "AbstractContextManager[object]") -> "Iterator[None]":
-    """Arm several fault context managers as one catalogue entry.
-
-    The rare-event corruptions only matter once a cutset actually
-    reaches the simulation rung, so their entries pair the corruption
-    with a persistent solver failure that forces the descent.
-    """
-    with ExitStack() as stack:
-        for arm in arms:
-            stack.enter_context(arm)
-        yield
-
-
 def _catalogue(
     rng: "random.Random", jobs: int, scratch_dir: str, run_index: int
 ) -> "list[tuple[str, Callable[[], object], bool]]":
@@ -314,43 +292,6 @@ def _catalogue(
             # full-mode re-quantification could sample).
             lambda: faults.inject_value(
                 "solve_value", lambda p: p * 1e12 + 1.1, times=1
-            ),
-            False,
-        ),
-        (
-            "nan@rare_weights",
-            # A corrupted likelihood ratio poisons one rare-event batch;
-            # the NaN must surface in the Monte-Carlo record for the P1
-            # invariant (or the ladder's own accounting) to catch.
-            lambda: _compound(
-                faults.inject(
-                    "transient_solve",
-                    NumericalError("chaos: forced solver failure"),
-                ),
-                faults.inject_value(
-                    "rare_event_weights",
-                    lambda w: w * float("nan"),
-                    times=1,
-                ),
-            ),
-            False,
-        ),
-        (
-            "inflate@rare_estimate",
-            # Silent weight inflation: the estimate explodes while the
-            # standard error stays sane, so the assembled interval comes
-            # out inverted (lower above the unit-clipped upper) — the P3
-            # interval-order guard's job.
-            lambda: _compound(
-                faults.inject(
-                    "transient_solve",
-                    NumericalError("chaos: forced solver failure"),
-                ),
-                faults.inject_value(
-                    "rare_event_estimate",
-                    lambda p: p * 1e12 + 1.1,
-                    times=1,
-                ),
             ),
             False,
         ),

@@ -88,6 +88,15 @@ MC_SAMPLE = 1
 #: a corrupted likelihood ratio overshoots it by orders of magnitude.
 MC_SIGMAS = 5.0
 
+#: Requested 95 % relative half-width of the statistical check's estimate.
+MC_TARGET_REL_ERROR = 0.10
+
+#: Cap on the trajectories the statistical check spends per cutset.
+MC_MAX_RUNS = 4_000
+
+#: Offset mixed with a stable hash of each sampled cutset into its seed.
+MC_SEED = 0
+
 
 @dataclass(frozen=True)
 class CrosscheckSummary:
@@ -394,9 +403,7 @@ def _rare_event_sample(
     sample = rng.sample(candidates, min(MC_SAMPLE, len(candidates)))
     classes = classification_report(sdft).by_gate
     config = RareEventConfig(
-        target_rel_error=opts.mc_target_rel_error,
-        max_runs=opts.monte_carlo_runs,
-        engine="auto",
+        target_rel_error=MC_TARGET_REL_ERROR, max_runs=MC_MAX_RUNS, engine="auto"
     )
     checked = 0
     for record in sample:
@@ -415,9 +422,7 @@ def _rare_event_sample(
         # The record's value is the dynamic reach probability times the
         # static factor; the simulator only sees the dynamic part.
         dynamic_exact = record.probability / model.static_factor
-        seed = (
-            opts.monte_carlo_seed + zlib.crc32(f"crosscheck\x00{name}".encode())
-        ) % 2**32
+        seed = (MC_SEED + zlib.crc32(f"crosscheck\x00{name}".encode())) % 2**32
         try:
             result = estimate_failure_probability(
                 model.model, opts.horizon, config, seed=seed, metrics=metrics

@@ -12,7 +12,6 @@ Stages wired into the pipeline:
 * ``"chain_build"``    — before building a cutset's product chain,
 * ``"transient_solve"`` — before the transient/first-passage solve,
 * ``"lump"``           — before lumping a chain,
-* ``"monte_carlo"``    — before the Monte-Carlo fallback rung,
 * ``"bound"``          — before the interval-bound fallback rung,
 * ``"mocus"``          — inside the MOCUS expansion loop,
 * ``"checkpoint"``     — before writing a checkpoint snapshot,
@@ -35,8 +34,8 @@ prove the verification layer catches it.  Value stages wired in:
   of one rare-event Monte-Carlo batch (:mod:`repro.ctmc.rare`), before
   they enter the running tally — a corrupted likelihood ratio.
 * ``"rare_event_estimate"`` — the rare-event engine's final point
-  estimate, before the interval is assembled — silent weight
-  inflation, the failure mode the interval-order guard must catch.
+  estimate, before the interval is assembled — the silent bias the
+  ``verify="full"`` statistical cross-check must catch.
 * ``"cache_value"`` — a probability served from the persistent solve
   cache (:mod:`repro.perf.cache`), after validation — an
   on-disk entry that rotted *after* passing the read-time checks.

@@ -240,9 +240,8 @@ class Verifier:
         Checks P1 on the value (and the lower bound when present), P3 on
         bounded records, and P4 — worst-case dominance — on records the
         exact or lumped rung produced.  P4 deliberately skips bounded
-        records: a Monte-Carlo confidence interval or a §VIII bound may
-        legitimately sit above the sharp worst case, and both already
-        carry their own bracket.
+        records: a §VIII bound may legitimately sit above the sharp
+        worst case, and it already carries its own bracket.
         """
         if not self.enabled:
             return None

@@ -62,7 +62,8 @@ class TestDeepChains:
     def test_deep_chain_apply_mixes(self):
         m = BddManager()
         f = FALSE
-        for i in range(CHAIN_EVENTS):
+        # Top-down: each OR adds one node above the chain (linear build).
+        for i in range(CHAIN_EVENTS - 1, -1, -1):
             f = m.apply_or(m.var(i), f)
         p = m.probability(f, {i: 1e-4 for i in range(CHAIN_EVENTS)})
         assert math.isclose(p, 1.0 - (1.0 - 1e-4) ** CHAIN_EVENTS, rel_tol=1e-9)

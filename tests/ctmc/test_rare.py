@@ -24,7 +24,6 @@ from repro.ctmc.simulate import TrajectoryKernel
 from repro.ctmc.transient import reach_probability
 from repro.errors import NumericalError
 from repro.robust import faults
-from repro.robust.budget import Budget
 
 HORIZON = 24.0
 
@@ -250,18 +249,6 @@ class TestIntervals:
 
 
 class TestBudget:
-    def test_expired_budget_stops_early_and_reports_honestly(self, rare_pair):
-        result = estimate_failure_probability(
-            rare_pair,
-            HORIZON,
-            RareEventConfig(engine="is"),
-            seed=6,
-            budget=Budget(wall_seconds=0.0),
-        )
-        assert result.n_runs == 0
-        assert not result.converged
-        assert result.achieved_rel_error == np.inf
-
     def test_max_runs_caps_the_total(self, rare_pair):
         result = estimate_failure_probability(
             rare_pair,

@@ -5,7 +5,8 @@ import pytest
 from repro.errors import DuplicateNameError, ModelError, UnknownNodeError
 from repro.ft.builder import FaultTreeBuilder
 from repro.ft.tree import GateType
-from repro.ft.validate import tree_stats, validate
+from repro.ft.validate import tree_stats
+from repro.lint import Severity, lint
 
 
 class TestBuilder:
@@ -66,59 +67,57 @@ class TestBuilder:
 
 
 class TestValidate:
+    """Structural checks run through the linter's SD1xx/SD2xx rules."""
+
     def test_clean_tree_has_no_warnings(self, cooling_tree):
-        report = validate(cooling_tree)
-        assert bool(report)
-        assert report.warnings == ()
+        assert lint(cooling_tree).diagnostics == ()
 
     def test_unreachable_nodes_warn(self):
         b = FaultTreeBuilder()
         b.event("a", 0.1).event("orphan", 0.2)
         b.or_("top", "a").or_("dead", "orphan")
-        report = validate(b.build("top"))
-        warned_nodes = {i.node for i in report.warnings}
-        assert "orphan" in warned_nodes
-        assert "dead" in warned_nodes
-        assert not report
+        report = lint(b.build("top"))
+        assert _findings(report, "SD101") == {("dead", Severity.WARNING)}
+        assert _findings(report, "SD102") == {("orphan", Severity.WARNING)}
 
     def test_extreme_probabilities_flagged(self):
         b = FaultTreeBuilder()
         b.event("certain", 1.0).event("never", 0.0).event("big", 0.5)
         b.or_("top", "certain", "never", "big")
-        report = validate(b.build("top"))
-        severities = {i.node: i.severity for i in report.issues}
-        assert severities["certain"] == "warning"
-        assert severities["never"] == "info"
-        assert severities["big"] == "info"
+        report = lint(b.build("top"))
+        assert _findings(report, "SD202") == {("certain", Severity.WARNING)}
+        assert _findings(report, "SD203") == {("never", Severity.INFO)}
+        assert _findings(report, "SD201") == {("big", Severity.WARNING)}
 
-    def test_single_input_atleast_is_not_a_pass_through(self):
-        """ATLEAST keeps its ``k`` semantics even with one child, so the
-        single-input info does not apply to it."""
+    def test_single_input_atleast_is_a_pass_through(self):
+        """A one-child ATLEAST must have ``k=1``, so it passes its input
+        through like any other single-input gate."""
         b = FaultTreeBuilder().event("a", 0.01)
         b.atleast("vote", 1, "a").or_("top", "vote", "a")
-        report = validate(b.build("top"))
-        assert not any(
-            i.node == "vote" and "single-input" in i.message
-            for i in report.issues
-        )
+        report = lint(b.build("top"))
+        assert _findings(report, "SD103") == {("vote", Severity.INFO)}
 
     def test_boundary_probability_is_not_flagged_as_large(self):
         """Exactly 0.1 sits on the rare-event boundary — not above it."""
         b = FaultTreeBuilder().event("edge", 0.1).event("a", 0.01)
         b.or_("top", "edge", "a")
-        report = validate(b.build("top"))
-        assert not any(i.node == "edge" for i in report.issues)
-        assert bool(report)
+        report = lint(b.build("top"))
+        assert not any(d.node == "edge" for d in report.diagnostics)
 
     def test_single_input_gate_is_info(self):
         b = FaultTreeBuilder().event("a", 0.1)
         b.or_("wrap", "a").or_("top", "wrap")
-        report = validate(b.build("top"))
-        assert any(
-            i.node in ("wrap", "top") and "single-input" in i.message
-            for i in report.issues
-        )
-        assert bool(report)  # infos don't fail validation
+        report = lint(b.build("top"))
+        assert _findings(report, "SD103") == {
+            ("wrap", Severity.INFO),
+            ("top", Severity.INFO),
+        }
+        assert not report.warnings  # pass-throughs are infos only
+
+
+def _findings(report, code):
+    """``{(node, severity)}`` of the report's findings under ``code``."""
+    return {(d.node, d.severity) for d in report.diagnostics if d.code == code}
 
 
 class TestTreeStats:

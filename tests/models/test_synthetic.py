@@ -1,7 +1,8 @@
 """Tests of the synthetic PSA generator."""
 
 from repro.ft.mocus import MocusOptions, mocus
-from repro.ft.validate import tree_stats, validate
+from repro.ft.validate import tree_stats
+from repro.lint import lint
 from repro.models.synthetic import SyntheticConfig, build_synthetic
 
 SMALL = SyntheticConfig(
@@ -39,9 +40,10 @@ class TestDeterminism:
 
 class TestStructure:
     def test_valid_and_fully_reachable(self):
-        tree = build_synthetic(SMALL)
-        report = validate(tree)
-        assert not report.warnings, report.warnings
+        report = lint(build_synthetic(SMALL))
+        assert not report.errors, report.errors
+        dead = [d for d in report.diagnostics if d.code in ("SD101", "SD102")]
+        assert not dead, dead
 
     def test_redundant_trains_are_symmetric(self):
         tree = build_synthetic(SMALL)

@@ -16,7 +16,7 @@ from repro.errors import AnalysisError, NumericalError
 from repro.robust import faults
 
 HORIZON = 24.0
-FALLBACK_RUNGS = ("monte_carlo", "bound", "skipped")
+FALLBACK_RUNGS = ("bound", "skipped")
 
 
 @pytest.fixture
@@ -46,10 +46,10 @@ def test_transient_solve_fault_degrades_not_crashes(cooling_sdft, clean):
             cooling_sdft, AnalysisOptions(horizon=HORIZON, fault_isolation=True)
         )
     _assert_degraded_but_bracketing(result, clean)
-    # Every dynamic cutset needed the simulation rung; statics stay exact.
+    # Every dynamic cutset needed the bound rung; statics stay exact.
     assert result.n_degraded_cutsets == result.n_dynamic_cutsets > 0
     assert all(
-        r.rung == "monte_carlo" for r in result.records if r.rung in FALLBACK_RUNGS
+        r.rung == "bound" for r in result.records if r.rung in FALLBACK_RUNGS
     )
     assert result.health.retries  # the failed exact/lumped attempts
 

@@ -1,4 +1,5 @@
-"""Differential cross-checks: re-quantification, BDD oracle, brackets."""
+"""Differential cross-checks: re-quantification, BDD oracle, brackets,
+rare-event statistical agreement."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from repro.core.analyzer import AnalysisOptions, analyze
 from repro.core.to_static import to_static
 from repro.errors import CrosscheckError
 from repro.ft.mocus import MocusOptions, mocus
+from repro.robust import faults
 from repro.robust.crosscheck import (
     CrosscheckSummary,
     run_crosschecks,
@@ -131,3 +133,28 @@ class TestAnalyzerFullMode:
         cheap = analyze(tree, AnalysisOptions(verify="cheap", cutoff=1e-12))
         assert full.failure_probability == cheap.failure_probability
         assert any("BDD oracle checked" in e.message for e in full.health.events)
+
+
+class TestRareEvent:
+    """The verify="full" rare-event estimate against uniformization."""
+
+    def test_full_verify_cross_checks_a_rare_event_estimate(self, cooling_sdft):
+        result = analyze(
+            cooling_sdft, AnalysisOptions(horizon=HORIZON, verify="full")
+        )
+        notes = [
+            e.message
+            for e in result.health.events
+            if "crosscheck:" in e.message
+        ]
+        assert notes
+        assert "1 rare-event estimates cross-checked" in notes[0]
+
+    def test_corrupted_estimator_fails_the_crosscheck(self, cooling_sdft):
+        """N-sigma disagreement with uniformization raises CrosscheckError."""
+        with faults.inject_value(
+            "rare_event_estimate", lambda p: p * 50.0 + 1e-3
+        ), pytest.raises(CrosscheckError, match="rare-event estimate"):
+            analyze(
+                cooling_sdft, AnalysisOptions(horizon=HORIZON, verify="full")
+            )

@@ -1,19 +1,26 @@
-"""The degradation ladder on the paper's cooling example.
+"""The degradation ladder: exact → lumped → §VIII bound.
 
 Each test forces failures at a specific rung via fault injection and
 checks both the rung the ladder lands on and that the degraded value
-still brackets the exact (fault-free) answer.
+still brackets the exact (fault-free) answer — on the paper's cooling
+example, and as a property over random SD fault trees.
 """
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
+from contextlib import nullcontext
 
+import pytest
+from hypothesis import given, settings
+
+from repro.core.analyzer import AnalysisOptions, analyze
 from repro.core.quantify import quantify_cutset
 from repro.errors import NumericalError
 from repro.robust import faults
 from repro.robust.budget import Budget
 from repro.robust.ladder import quantify_with_ladder
+from tests.strategies import sd_fault_trees
 
 CUTSET = frozenset({"b", "d"})
 HORIZON = 24.0
@@ -44,49 +51,57 @@ def test_single_failure_recovers_on_the_lumped_rung(cooling_sdft, clean_value):
     assert outcome.record.probability == pytest.approx(clean_value, rel=1e-9)
 
 
-def test_persistent_solver_failure_lands_on_monte_carlo(cooling_sdft, clean_value):
+def test_persistent_solver_failure_lands_on_the_bound_rung(
+    cooling_sdft, clean_value
+):
     with faults.inject("transient_solve", NumericalError("forced")):
         outcome = quantify_with_ladder(cooling_sdft, CUTSET, HORIZON)
-    assert outcome.rung == "monte_carlo"
+    assert outcome.rung == "bound"
     assert [a.rung for a in outcome.attempts] == ["exact", "lumped"]
     record = outcome.record
     assert record.bounded
     assert record.lower_bound <= clean_value <= record.probability
 
 
-def test_monte_carlo_rung_is_deterministic(cooling_sdft):
-    import dataclasses
-
+def test_bound_rung_serves_the_oversize_record(cooling_sdft):
+    """The ladder's last rung is the §VIII record ``on_oversize`` serves."""
     with faults.inject("transient_solve", NumericalError("forced")):
-        first = quantify_with_ladder(cooling_sdft, CUTSET, HORIZON)
-        second = quantify_with_ladder(cooling_sdft, CUTSET, HORIZON)
-    # Identical up to wall-clock timing: the per-cutset seed mixing makes
-    # the simulation rung reproducible.
+        outcome = quantify_with_ladder(cooling_sdft, CUTSET, HORIZON)
+    oversize = quantify_cutset(
+        cooling_sdft, CUTSET, HORIZON, max_chain_states=1, on_oversize="bounds"
+    )
     strip = lambda r: dataclasses.replace(r, solve_seconds=0.0)  # noqa: E731
-    assert strip(first.record) == strip(second.record)
+    assert strip(outcome.record) == strip(oversize)
 
 
 def test_everything_failing_lands_on_the_bound_rung(cooling_sdft, clean_value):
-    with faults.inject("transient_solve", NumericalError("forced")), faults.inject(
-        "monte_carlo", NumericalError("forced")
-    ):
+    with faults.inject("chain_build", NumericalError("forced")), faults.inject(
+        "lump", NumericalError("forced")
+    ), faults.inject("transient_solve", NumericalError("forced")):
         outcome = quantify_with_ladder(cooling_sdft, CUTSET, HORIZON)
     assert outcome.rung == "bound"
-    assert [a.rung for a in outcome.attempts] == ["exact", "lumped", "monte_carlo"]
+    assert [a.rung for a in outcome.attempts] == ["exact", "lumped"]
     record = outcome.record
     assert record.bounded
     assert record.lower_bound <= clean_value <= record.probability
 
 
-def test_expired_budget_skips_monte_carlo(cooling_sdft, clean_value):
-    # An already-expired wall clock fails the solver rungs and makes the
-    # ladder jump straight past the (slow) simulation to the cheap bound.
+def test_failing_bound_rung_raises(cooling_sdft):
+    """No rung left: the analyzer substitutes the static worst case."""
+    with faults.inject("transient_solve", NumericalError("forced")), faults.inject(
+        "bound", NumericalError("forced bound")
+    ), pytest.raises(NumericalError, match="forced bound"):
+        quantify_with_ladder(cooling_sdft, CUTSET, HORIZON)
+
+
+def test_expired_budget_lands_on_the_bound_rung(cooling_sdft, clean_value):
+    # An already-expired wall clock fails both solver rungs; the bound
+    # rung's per-event solves are not charged to the budget.
     outcome = quantify_with_ladder(
         cooling_sdft, CUTSET, HORIZON, budget=Budget(wall_seconds=0.0)
     )
     assert outcome.rung == "bound"
-    skipped = [a for a in outcome.attempts if a.rung == "monte_carlo"]
-    assert skipped and "skipped" in skipped[0].error
+    assert [a.rung for a in outcome.attempts] == ["exact", "lumped"]
     assert outcome.record.lower_bound <= clean_value <= outcome.record.probability
 
 
@@ -95,3 +110,46 @@ def test_static_cutsets_never_degrade(cooling_sdft):
         outcome = quantify_with_ladder(cooling_sdft, frozenset({"e"}), HORIZON)
     assert outcome.rung == "exact"
     assert outcome.record.probability == pytest.approx(3e-6)
+
+
+#: Float slack when testing containment (pure accumulation differences).
+_RTOL = 1e-9
+
+
+def _contains(lower, value, upper):
+    slack = _RTOL * max(abs(value), abs(upper))
+    return lower - slack <= value <= upper + slack
+
+
+@pytest.mark.parametrize("degrade", ["transient_solve", "max_chain_states"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sdft=sd_fault_trees())
+def test_degraded_records_bracket_the_exact_rung(degrade, sdft):
+    """Every rung serves a provable bracket of the clean exact value.
+
+    Both solver rungs are made to fail — by a persistent solver fault
+    or by a one-state chain limit — so every dynamic cutset lands on the
+    bound rung.  When both runs serve the rare-event sum, the degraded
+    run's reported interval contains the clean total.  (When the
+    degraded sum overshoots 1.0 the run serves ``mcs-min-cut-ub``,
+    whose ceiling need not cover the clean rare-event sum.)
+    """
+    base = AnalysisOptions(horizon=HORIZON, cutoff=0.0, fault_isolation=True)
+    clean = analyze(sdft, base)
+    assert all(r.rung == "exact" for r in clean.records)
+    exact = {r.cutset: r.probability for r in clean.records}
+
+    if degrade == "transient_solve":
+        arm, opts = faults.inject("transient_solve", NumericalError("forced")), base
+    else:
+        arm, opts = nullcontext(), dataclasses.replace(base, max_chain_states=1)
+    with arm:
+        degraded = analyze(sdft, opts)
+
+    assert {r.cutset for r in degraded.records} == set(exact)
+    for record in degraded.records:
+        lower = record.probability if record.lower_bound is None else record.lower_bound
+        assert _contains(lower, exact[record.cutset], record.probability), record
+    if clean.method == degraded.method == "mcs-rare-event":
+        lower, upper = degraded.failure_probability_interval()
+        assert _contains(lower, clean.failure_probability, upper)
