@@ -53,11 +53,12 @@ def exact_probability(sdft) -> float:
 
 
 def run_engine(sdft, exact: float, engine: str, max_runs: int, seed: int) -> dict:
-    from repro.ctmc.rare import RareEventConfig, estimate_failure_probability
+    from repro.ctmc.rare import estimate_failure_probability
 
-    config = RareEventConfig(engine=engine, max_runs=max_runs)
     started = time.perf_counter()
-    result = estimate_failure_probability(sdft, HORIZON, config, seed=seed)
+    result = estimate_failure_probability(
+        sdft, HORIZON, engine=engine, max_runs=max_runs, seed=seed
+    )
     wall = time.perf_counter() - started
     lower, upper = result.interval(sigmas=4.0)
     brackets = lower <= exact <= upper
@@ -87,6 +88,8 @@ def run_engine(sdft, exact: float, engine: str, max_runs: int, seed: int) -> dic
 
 def run(tiny: bool = False) -> dict:
     """Build the payload: crude vs IS (vs splitting) at PSA probability."""
+    from repro.ctmc.rare import TARGET_REL_ERROR
+
     sdft = build_rare_pair()
     exact = exact_probability(sdft)
     max_runs = 4_000 if tiny else 20_000
@@ -119,7 +122,7 @@ def run(tiny: bool = False) -> dict:
         "tiny": tiny,
         "horizon_hours": HORIZON,
         "exact_probability": exact,
-        "target_rel_error": 0.10,
+        "target_rel_error": TARGET_REL_ERROR,
         "crude": crude_runs,
         "importance_sampling": is_runs,
         "splitting": split_runs,

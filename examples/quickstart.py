@@ -19,7 +19,7 @@ Run:  python examples/quickstart.py
 
 from repro import AnalysisOptions, SdFaultTreeBuilder, analyze, analyze_exact
 from repro.ctmc import repairable, triggered_repairable
-from repro.ctmc.simulate import simulate_failure_probability
+from repro.ctmc.rare import estimate_failure_probability
 
 
 def build_cooling_system():
@@ -62,8 +62,10 @@ def main() -> None:
     exact = analyze_exact(sdft, horizon)
     print("=== cross-checks (exact methods that do NOT scale) ===")
     print(f"exact product-chain probability: {exact:.3e}")
-    simulated = simulate_failure_probability(sdft, horizon, n_runs=100_000, seed=7)
-    low, high = simulated.confidence_interval
+    simulated = estimate_failure_probability(
+        sdft, horizon, engine="crude", max_runs=100_000, seed=7
+    )
+    low, high = simulated.interval(sigmas=1.96)
     print(f"Monte-Carlo estimate:            {simulated.estimate:.3e} "
           f"(95% CI [{low:.3e}, {high:.3e}])")
     print()

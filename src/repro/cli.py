@@ -305,7 +305,13 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate_cmd = sub.add_parser("simulate", help="Monte-Carlo estimate")
     simulate_cmd.add_argument("model", help="SD model JSON file")
     simulate_cmd.add_argument("--horizon", type=float, default=24.0)
-    simulate_cmd.add_argument("--runs", type=int, default=20_000)
+    simulate_cmd.add_argument(
+        "--runs",
+        type=int,
+        default=20_000,
+        help="cap on simulated runs; crude simulation stops earlier once "
+        "its 95%% half-width is within 10%% of the estimate",
+    )
     simulate_cmd.add_argument("--seed", type=int, default=None)
     simulate_cmd.set_defaults(handler=_cmd_simulate)
 
@@ -740,13 +746,13 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.ctmc.simulate import simulate_failure_probability
+    from repro.ctmc.rare import estimate_failure_probability
 
     sdft = _load_sdft(args.model)
-    result = simulate_failure_probability(
-        sdft, args.horizon, n_runs=args.runs, seed=args.seed
+    result = estimate_failure_probability(
+        sdft, args.horizon, engine="crude", max_runs=args.runs, seed=args.seed
     )
-    low, high = result.confidence_interval
+    low, high = result.interval(sigmas=1.96)
     print(
         f"P(failure <= {args.horizon} h) ~= {result.estimate:.3e} "
         f"(95% CI [{low:.3e}, {high:.3e}], {result.n_failures}/{result.n_runs} runs)"

@@ -34,6 +34,7 @@ from repro.core.quantify import (
 from repro.core.results import AnalysisResult, PerfStats, Timings, served_interval
 from repro.core.sdft import SdFaultTree, as_sdft
 from repro.core.to_static import to_static
+from repro.ctmc.transient import check_horizon
 from repro.errors import (
     AnalysisError,
     BddBudgetExceeded,
@@ -256,9 +257,9 @@ class AnalysisOptions:
                 raise ValueError(
                     f"unknown {name} {value!r}; expected one of {allowed}"
                 )
+        check_horizon(self.horizon)
         timeout = self.pool_task_timeout_seconds
         ranges = (
-            ("horizon", 0.0 <= self.horizon < math.inf, "finite and >= 0"),
             ("cutoff", self.cutoff >= 0.0, ">= 0"),
             ("epsilon", 0.0 < self.epsilon < 1.0, "in (0, 1)"),
             (
@@ -1621,8 +1622,8 @@ def analyze_curve(
     """
     if not horizons:
         return {}
-    if min(horizons) < 0.0:
-        raise ValueError(f"horizons must be non-negative, got {sorted(horizons)}")
+    for horizon in horizons:
+        check_horizon(horizon)
     opts = derived_run_options(options or AnalysisOptions())
     *narrower, widest = sorted(set(horizons))
     shared = AnalysisReuse()
@@ -1666,6 +1667,7 @@ def analyze_exact(
     from repro.ctmc.product import build_product
     from repro.ctmc.transient import reach_probability
 
+    check_horizon(horizon)
     product = build_product(sdft, max_states=max_states)
     return reach_probability(product.chain, horizon, epsilon=epsilon)
 

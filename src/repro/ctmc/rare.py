@@ -1,11 +1,18 @@
-"""Rare-event Monte-Carlo estimation of SD fault-tree failure probabilities.
+"""Monte-Carlo estimation of SD fault-tree failure probabilities.
 
-At PSA probabilities (p <= 1e-6) crude simulation is useless: thousands
-of runs observe zero failures and report a degenerate estimate.  This
-module implements the two standard remedies for CTMC reachability
-(Porotsky, "Rare-Event Estimation for Dynamic Fault Trees"), both on the
-shared :class:`~repro.ctmc.simulate.TrajectoryKernel` so they sample
-exactly the semantics of Section III-C:
+Every estimator here samples trajectories on the shared
+:class:`~repro.ctmc.simulate.TrajectoryKernel`, so all of them agree on
+the semantics of Section III-C; only the sampling measure differs.
+
+* **Crude simulation** (``engine="crude"``): runs from the initial
+  distribution until the top gate fails or the horizon passes; the
+  estimate is the failing fraction.  Correct and cheapest for common
+  events, and what ``sdft simulate`` and the examples run.  At PSA
+  probabilities (p <= 1e-6) it is useless: thousands of runs observe
+  zero failures and report a degenerate estimate.
+
+The two standard remedies for rare CTMC reachability follow Porotsky,
+"Rare-Event Estimation for Dynamic Fault Trees":
 
 * **Failure-biased importance sampling with forcing** (``engine="is"``):
   every holding time of the local-transition race is *forced* — sampled
@@ -32,10 +39,10 @@ exactly the semantics of Section III-C:
 An adaptive controller (``engine="auto"``) picks the estimator from a
 crude pilot batch — common events stay on cheap crude batches, rare
 ones go to importance sampling, and splitting takes over when biasing
-alone stalls (zero weighted failures after the stall window).  The
-controller iterates in batches until the target relative half-width
-``target_rel_error`` is met or the run budget is exhausted — and always
-reports the precision actually achieved, not the one requested.
+alone stalls (zero weighted failures after the stall window).  Every
+engine iterates in batches until the 95 % relative half-width reaches
+:data:`TARGET_REL_ERROR` or the ``max_runs`` budget is exhausted — and
+always reports the precision actually achieved, not the one requested.
 """
 
 from __future__ import annotations
@@ -47,69 +54,63 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.ctmc.simulate import TrajectoryKernel
-from repro.errors import NumericalError
+from repro.ctmc.transient import check_horizon
+from repro.obs.metrics import NULL_METRICS
 from repro.robust import faults
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry, NullMetrics
 
 __all__ = [
-    "RareEventConfig",
+    "ENGINES",
     "RareEventResult",
     "estimate_failure_probability",
 ]
 
+#: Estimator names accepted by :func:`estimate_failure_probability`.
+ENGINES = ("auto", "crude", "is", "splitting")
+
+#: Requested 95 % relative half-width (``1.96·SE/estimate``).
+TARGET_REL_ERROR = 0.10
+
+#: Trajectories per crude or importance-sampling batch.
+BATCH_SIZE = 1_000
+
+#: Size of the crude pilot batch of ``engine="auto"``.
+PILOT_RUNS = 256
+
+#: Pilot failures at or above which ``auto`` stays on crude batches.
+PILOT_MIN_FAILURES = 16
+
+#: Probability mass the importance sampler moves onto failure-directed
+#: transitions when both directions are enabled.
+BIAS = 0.7
+
+#: Forced trajectories whose weight decays below this are retired as
+#: unresolved mass (widening the interval's upper end).
+WEIGHT_FLOOR = 1e-30
+
+#: Step cap per trajectory; capped trajectories are retired unresolved.
+MAX_STEPS = 512
+
+#: Consecutive zero-failure IS batches after which ``auto`` splits.
+IS_STALL_BATCHES = 2
+
+#: Particles per splitting stage.
+SPLITTING_EFFORT = 256
+
+#: Independent splitting replications (the variance comes from these).
+SPLITTING_REPLICATIONS = 10
+
 #: 95 % normal quantile used for the reported relative half-width.
 _Z95 = 1.96
 
-#: Rule-of-three numerator for zero-failure upper bounds.
+#: Rule-of-three numerator: with zero observed failures in ``n`` runs the
+#: one-sided 95 % Clopper–Pearson upper bound is ``-ln(0.05)/n ~= 3/n``.
 _RULE_OF_THREE = 3.0
 
 #: Outcome codes of one advanced trajectory.
 _SUCCESS, _SURVIVED, _UNRESOLVED = 1, 2, 3
-
-
-@dataclass(frozen=True)
-class RareEventConfig:
-    """Knobs of the rare-event controller.
-
-    ``engine`` is ``"auto"`` (pilot-batch selection), ``"crude"``,
-    ``"is"`` or ``"splitting"``.  ``target_rel_error`` is the requested
-    95 % relative half-width (``1.96·SE/estimate``); ``max_runs`` caps
-    the total trajectories across pilot, batches and splitting stages.
-    ``bias`` is the probability mass the importance sampler moves onto
-    failure-directed transitions when both directions are enabled.
-    ``weight_floor`` and ``max_steps`` bound forced trajectories that
-    neither fail nor exit (their retired weight is reported as
-    unresolved mass, widening the interval's upper end).
-    """
-
-    target_rel_error: float = 0.10
-    max_runs: int = 20_000
-    engine: str = "auto"
-    batch_size: int = 1_000
-    pilot_runs: int = 256
-    pilot_min_failures: int = 16
-    bias: float = 0.7
-    weight_floor: float = 1e-30
-    max_steps: int = 512
-    is_stall_batches: int = 2
-    splitting_effort: int = 256
-    splitting_replications: int = 10
-
-    def __post_init__(self) -> None:
-        if self.engine not in ("auto", "crude", "is", "splitting"):
-            raise ValueError(
-                f"engine must be auto|crude|is|splitting, got {self.engine!r}"
-            )
-        if not 0.0 < self.target_rel_error:
-            raise ValueError(
-                f"target_rel_error must be positive, got {self.target_rel_error}"
-            )
-        if not 0.0 < self.bias < 1.0:
-            raise ValueError(f"bias must be in (0, 1), got {self.bias}")
-        if self.max_runs < 1:
-            raise ValueError(f"max_runs must be >= 1, got {self.max_runs}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,6 @@ class RareEventResult:
     n_runs: int
     n_failures: int
     engine: str
-    target_rel_error: float
     achieved_rel_error: float
     converged: bool
     unresolved_mass: float = 0.0
@@ -240,7 +240,6 @@ def _advance_batch(
     horizon: float,
     rng: np.random.Generator,
     success: Callable[[int], bool],
-    config: RareEventConfig,
 ) -> np.ndarray:
     """Advance every trajectory until success, survival or retirement.
 
@@ -257,8 +256,7 @@ def _advance_batch(
         if success(int(sids[i])):
             outcomes[i] = _SUCCESS
     active = [i for i in range(n) if outcomes[i] == 0]
-    bias = config.bias
-    for _step in range(config.max_steps):
+    for _step in range(MAX_STEPS):
         if not active:
             break
         count = len(active)
@@ -303,12 +301,12 @@ def _advance_batch(
                 has_rep = len(rep_dests) > 0
                 assert u_group is not None
                 if has_fail and has_rep:
-                    if float(u_group[k]) < bias:
+                    if float(u_group[k]) < BIAS:
                         sid = _pick(fail_dests, fail_cum, float(u_choice[k]))
-                        weights[i] *= float(fail_cum[-1]) / (bias * rate)
+                        weights[i] *= float(fail_cum[-1]) / (BIAS * rate)
                     else:
                         sid = _pick(rep_dests, rep_cum, float(u_choice[k]))
-                        weights[i] *= float(rep_cum[-1]) / ((1.0 - bias) * rate)
+                        weights[i] *= float(rep_cum[-1]) / ((1.0 - BIAS) * rate)
                 else:
                     # Only one direction enabled: the true race already
                     # points where we want — no distortion, ratio 1.
@@ -316,7 +314,7 @@ def _advance_batch(
             sids[i] = sid
             if success(sid):
                 outcomes[i] = _SUCCESS
-            elif weights[i] < config.weight_floor:
+            elif weights[i] < WEIGHT_FLOOR:
                 outcomes[i] = _UNRESOLVED
             else:
                 still.append(i)
@@ -332,7 +330,6 @@ def _run_batch(
     n: int,
     horizon: float,
     rng: np.random.Generator,
-    config: RareEventConfig,
     tally: _Tally,
 ) -> None:
     """One independent batch from the initial distribution into ``tally``."""
@@ -340,7 +337,7 @@ def _run_batch(
     clocks = np.zeros(n)
     weights = np.ones(n)
     outcomes = _advance_batch(
-        kernel, tables, sids, clocks, weights, horizon, rng, kernel.fails, config
+        kernel, tables, sids, clocks, weights, horizon, rng, kernel.fails
     )
     values = np.where(outcomes == _SUCCESS, weights, 0.0)
     values = faults.corrupt("rare_event_weights", values)
@@ -385,7 +382,6 @@ def _splitting_replication(
     tables: _BiasTables,
     horizon: float,
     rng: np.random.Generator,
-    config: RareEventConfig,
     max_level: int,
 ) -> _Replication:
     """One independent fixed-effort pass up the level ladder.
@@ -397,7 +393,7 @@ def _splitting_replication(
     top failure itself.  ``E[product of factors] = p`` stage by stage
     (tower property over the resampled populations).
     """
-    effort = config.splitting_effort
+    effort = SPLITTING_EFFORT
     sids = kernel.sample_initial_ids(effort, rng)
     clocks = np.zeros(effort)
     done = np.array([kernel.fails(int(s)) for s in sids])
@@ -425,7 +421,6 @@ def _splitting_replication(
                 horizon,
                 rng,
                 _stage_goal(kernel, level),
-                config,
             )
             sids[open_idx] = sub_sids
             clocks[open_idx] = sub_clocks
@@ -461,18 +456,16 @@ def _run_splitting(
     tables: _BiasTables,
     horizon: float,
     rng: np.random.Generator,
-    config: RareEventConfig,
+    max_runs: int,
     runs_used: int,
 ) -> tuple[list[_Replication], int]:
     """Independent splitting replications under the run budget."""
     max_level = len(kernel.semantics.order)
     replications: list[_Replication] = []
-    for _ in range(config.splitting_replications):
-        if runs_used >= config.max_runs and replications:
+    for _ in range(SPLITTING_REPLICATIONS):
+        if runs_used >= max_runs and replications:
             break
-        replication = _splitting_replication(
-            kernel, tables, horizon, rng, config, max_level
-        )
+        replication = _splitting_replication(kernel, tables, horizon, rng, max_level)
         runs_used += replication.runs
         replications.append(replication)
     return replications, runs_used
@@ -483,55 +476,44 @@ def _run_splitting(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class _Metered:
-    """The optional metrics sink, null-safe."""
-
-    registry: "MetricsRegistry | NullMetrics | None" = None
-
-    def count(self, name: str, n: float = 1) -> None:
-        if self.registry is not None:
-            self.registry.count(name, n)
-
-    def observe(self, name: str, value: float) -> None:
-        if self.registry is not None and math.isfinite(value):
-            self.registry.observe(name, value)
-
-
 def estimate_failure_probability(
     sdft: object,
     horizon: float,
-    config: RareEventConfig | None = None,
+    *,
+    engine: str = "auto",
+    max_runs: int = 20_000,
     seed: int | None = None,
     metrics: "MetricsRegistry | NullMetrics | None" = None,
 ) -> RareEventResult:
-    """Estimate ``Pr[Reach^{<=t}(F)]``, adaptively handling rare events.
+    """Estimate ``Pr[Reach^{<=t}(F)]`` with one of :data:`ENGINES`.
 
     Deterministic in ``seed``: the same seed yields bit-identical
     results regardless of how the caller parallelised *other* work.
-    Stops at ``config.target_rel_error`` or at ``config.max_runs`` —
-    whichever comes first — and reports the precision actually achieved
-    in the result.  Raises
-    :class:`~repro.errors.NumericalError` only when the model cannot be
-    simulated at all.
+    Stops at :data:`TARGET_REL_ERROR` or at ``max_runs`` total
+    trajectories (pilot, batches and splitting stages) — whichever comes
+    first — and reports the precision actually achieved in the result.
+    Raises :class:`ValueError` for an unknown engine, a non-positive
+    ``max_runs`` or a horizon that is not finite and >= 0.
     """
-    if horizon < 0.0:
-        raise NumericalError(f"horizon must be non-negative, got {horizon}")
-    cfg = config if config is not None else RareEventConfig()
+    check_horizon(horizon)
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    if max_runs < 1:
+        raise ValueError(f"max_runs must be >= 1, got {max_runs}")
+    requested = engine
     rng = np.random.default_rng(seed)
     kernel = TrajectoryKernel(sdft)
-    meter = _Metered(metrics)
-    engine = cfg.engine
+    meter = metrics or NULL_METRICS
     tally = _Tally()
     pilot_failures = 0
 
     # Pilot: a crude batch decides whether the event is rare at all.
     if engine == "auto":
         pilot = _Tally()
-        _run_batch(kernel, None, cfg.pilot_runs, horizon, rng, cfg, pilot)
-        meter.count("mc.pilot_runs", cfg.pilot_runs)
+        _run_batch(kernel, None, PILOT_RUNS, horizon, rng, pilot)
+        meter.count("mc.pilot_runs", PILOT_RUNS)
         pilot_failures = pilot.failures
-        if pilot.failures >= cfg.pilot_min_failures:
+        if pilot.failures >= PILOT_MIN_FAILURES:
             engine = "crude"
             tally = pilot  # the pilot sample is part of the crude stream
         else:
@@ -540,22 +522,22 @@ def estimate_failure_probability(
     if engine in ("crude", "is"):
         tables = _BiasTables(kernel) if engine == "is" else None
         stalled = 0
-        while tally.n < cfg.max_runs:
-            if tally.rel_error <= cfg.target_rel_error:
+        while tally.n < max_runs:
+            if tally.rel_error <= TARGET_REL_ERROR:
                 break
-            batch = min(cfg.batch_size, cfg.max_runs - tally.n)
-            _run_batch(kernel, tables, batch, horizon, rng, cfg, tally)
+            batch = min(BATCH_SIZE, max_runs - tally.n)
+            _run_batch(kernel, tables, batch, horizon, rng, tally)
             meter.count("mc.batches")
-            if engine == "is" and cfg.engine == "auto":
+            if engine == "is" and requested == "auto":
                 stalled = stalled + 1 if tally.failures == 0 else 0
-                if stalled >= cfg.is_stall_batches:
+                if stalled >= IS_STALL_BATCHES:
                     engine = "splitting"  # biasing alone stalls: split
                     break
 
     if engine == "splitting":
         tables = _BiasTables(kernel)
         replications, runs_used = _run_splitting(
-            kernel, tables, horizon, rng, cfg, tally.n
+            kernel, tables, horizon, rng, max_runs, tally.n
         )
         if replications:
             estimates = np.array([r.estimate for r in replications])
@@ -576,16 +558,16 @@ def estimate_failure_probability(
     unresolved = tally.unresolved / tally.n if tally.n else 0.0
     meter.count("mc.runs", runs)
     meter.count(f"mc.engine.{engine}")
-    meter.observe("mc.achieved_rel_error", achieved)
+    if math.isfinite(achieved):
+        meter.observe("mc.achieved_rel_error", achieved)
     return RareEventResult(
         estimate=estimate,
         standard_error=tally.standard_error,
         n_runs=runs,
         n_failures=tally.failures,
         engine=engine,
-        target_rel_error=cfg.target_rel_error,
         achieved_rel_error=achieved,
-        converged=achieved <= cfg.target_rel_error,
+        converged=achieved <= TARGET_REL_ERROR,
         unresolved_mass=unresolved,
         pilot_failures=pilot_failures,
     )

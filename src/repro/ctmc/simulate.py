@@ -1,4 +1,4 @@
-"""Discrete-event Monte-Carlo simulation of SD fault-tree semantics.
+"""Trajectory sampling of SD fault-tree semantics.
 
 An independent implementation of the semantics of Section III-C, used to
 cross-validate both the exact product chain and the per-cutset analysis:
@@ -11,18 +11,15 @@ instead of enumerating product states it samples trajectories —
    updates;
 3. record whether the top gate failed before the horizon.
 
-The estimator of ``Pr[Reach^{<=t}(F)]`` is the fraction of failing runs,
-reported with its standard error and a 95 % confidence interval.
-
 The state bookkeeping lives in :class:`TrajectoryKernel`, a lazily
 tabulated view of the consistent product states a batch of trajectories
-actually visits.  The crude estimator here and the rare-event engines of
-:mod:`repro.ctmc.rare` (failure-biased importance sampling, fixed-effort
-splitting) share it, so all of them agree on the semantics — only the
-sampling measure differs.
+actually visits.  Every estimator of :mod:`repro.ctmc.rare` (crude
+simulation, failure-biased importance sampling, fixed-effort splitting)
+samples it, so all of them agree on the semantics — only the sampling
+measure differs.
 
-Simulation is a cross-check, never a served answer: the crude estimator
-backs ``sdft simulate`` and the examples, the rare-event engines back
+Simulation is a cross-check, never a served answer: the crude engine
+backs ``sdft simulate`` and the examples, the ``auto`` controller backs
 the ``verify="full"`` statistical check of
 :mod:`repro.robust.crosscheck`.  A cutset the exact solvers cannot
 handle is served the provable Section VIII interval instead (see
@@ -32,61 +29,12 @@ handle is served the provable Section VIII interval instead (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ctmc.product import SdSemantics
 
-__all__ = [
-    "SimulationResult",
-    "TrajectoryKernel",
-    "simulate_failure_probability",
-]
-
-#: Rule-of-three numerator: with zero observed failures in ``n`` runs the
-#: one-sided 95 % Clopper–Pearson upper bound is ``-ln(0.05)/n ~= 3/n``.
-_RULE_OF_THREE = 3.0
-
-
-@dataclass(frozen=True)
-class SimulationResult:
-    """A Monte-Carlo estimate with its sampling uncertainty."""
-
-    estimate: float
-    standard_error: float
-    n_runs: int
-    n_failures: int
-
-    @property
-    def confidence_interval(self) -> tuple[float, float]:
-        """Normal-approximation 95 % confidence interval, clipped to [0, 1].
-
-        Degenerate tallies never produce an empty interval: with zero
-        observed failures the upper end is the rule-of-three bound
-        ``3/n`` (the ~95 % Clopper–Pearson upper limit), and with zero
-        observed survivals the lower end is its mirror ``1 - 3/n`` —
-        the same ``1/n`` scale :meth:`consistent_with` already floors
-        its acceptance band with.
-        """
-        if self.n_runs <= 0:
-            return (0.0, 1.0)
-        if self.n_failures == 0:
-            return (0.0, min(1.0, _RULE_OF_THREE / self.n_runs))
-        if self.n_failures == self.n_runs:
-            return (max(0.0, 1.0 - _RULE_OF_THREE / self.n_runs), 1.0)
-        delta = 1.96 * self.standard_error
-        return (max(0.0, self.estimate - delta), min(1.0, self.estimate + delta))
-
-    def consistent_with(self, value: float, sigmas: float = 4.0) -> bool:
-        """Whether ``value`` lies within ``sigmas`` standard errors.
-
-        A loose acceptance band used by the cross-validation tests; with
-        few failures the normal approximation is rough, so the default
-        band is generous.
-        """
-        slack = sigmas * max(self.standard_error, 1.0 / self.n_runs)
-        return abs(value - self.estimate) <= slack
+__all__ = ["TrajectoryKernel"]
 
 
 class TrajectoryKernel:
@@ -100,7 +48,7 @@ class TrajectoryKernel:
     :mod:`repro.ctmc.rare` needs).  Nothing is enumerated up front:
     unlike :func:`repro.ctmc.product.build_product` the kernel only ever
     pays for states that are actually sampled, which is what keeps the
-    simulators usable as cross-checks when the product space is too big
+    estimators usable as cross-checks when the product space is too big
     to build.  States are the coded tuples of
     :class:`~repro.ctmc.product.SdSemantics`, whose moves and trigger
     updates the kernel shares with the product construction.
@@ -274,59 +222,3 @@ class TrajectoryKernel:
                     raw[slot] = codes[min(pick, len(codes) - 1)]
             ids[i] = self._intern_raw(tuple(raw))
         return ids
-
-
-def simulate_failure_probability(
-    sdft,
-    horizon: float,
-    n_runs: int = 10_000,
-    seed: int | None = None,
-) -> SimulationResult:
-    """Estimate ``Pr[Reach^{<=t}(F)]`` of an SD fault tree by simulation.
-
-    Runs are independent; a run stops at its first top-gate failure (the
-    reachability event) or at the horizon.  Time per run is linear in
-    the number of transitions that fire, so long horizons with fast
-    repair cycles cost more.
-    """
-    if horizon < 0.0:
-        raise ValueError(f"horizon must be non-negative, got {horizon}")
-    rng = np.random.default_rng(seed)
-    kernel = TrajectoryKernel(sdft)
-    n_failures = 0
-    for start in range(0, n_runs, 4096):
-        batch = min(4096, n_runs - start)
-        sids = kernel.sample_initial_ids(batch, rng)
-        for i in range(batch):
-            if _run_one(kernel, int(sids[i]), horizon, rng):
-                n_failures += 1
-    estimate = n_failures / n_runs
-    standard_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / n_runs)
-    return SimulationResult(estimate, standard_error, n_runs, n_failures)
-
-
-def _run_one(
-    kernel: TrajectoryKernel,
-    sid: int,
-    horizon: float,
-    rng: np.random.Generator,
-) -> bool:
-    """One crude trajectory: did the top fail before the horizon?"""
-    if kernel.fails(sid):
-        return True
-    clock = 0.0
-    while True:
-        total_rate = kernel.exit_rate(sid)
-        if total_rate <= 0.0:
-            return False  # absorbing — sits out the rest of the horizon
-        clock += rng.exponential(1.0 / total_rate)
-        if clock > horizon:
-            return False
-        moves = kernel.moves(sid)
-        assert moves is not None
-        dests, _, cum, _ = moves
-        choice = rng.random() * total_rate
-        pick = int(np.searchsorted(cum, choice, side="right"))
-        sid = int(dests[min(pick, len(dests) - 1)])
-        if kernel.fails(sid):
-            return True

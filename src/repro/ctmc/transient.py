@@ -42,6 +42,7 @@ from repro.errors import NumericalError
 from repro.obs.metrics import NULL_METRICS
 
 __all__ = [
+    "check_horizon",
     "transient_distribution",
     "reach_probability",
     "failure_probability",
@@ -59,6 +60,18 @@ _MAX_TERMS = 4_000_000
 #: solver's own truncation error compounds over the series, so this is
 #: looser than the truncation epsilon).
 _MASS_TOLERANCE = 1e-6
+
+
+def check_horizon(horizon: float) -> None:
+    """Reject a mission time that is not finite and >= 0.
+
+    The one horizon check of every entry point (solvers, estimators,
+    lint and analysis options): ``horizon < 0`` alone lets NaN and inf
+    through to solvers and samplers that run long and then fail or
+    return a meaningless probability.
+    """
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be finite and >= 0, got {horizon!r}")
 
 
 def _checked_distribution(distribution: np.ndarray, what: str) -> np.ndarray:
@@ -105,8 +118,7 @@ def transient_distribution(
     receives the series-length histogram and early-exit counter (one
     registry call per solve — never inside the series loop).
     """
-    if horizon < 0.0:
-        raise ValueError(f"horizon must be non-negative, got {horizon}")
+    check_horizon(horizon)
     nu = chain.initial_vector()
     if horizon == 0.0 or not chain.rates:
         return nu
@@ -180,8 +192,7 @@ def occupancy_integrals(
     Building block for downtime analysis and for flux attribution
     (which transition absorbed the probability mass).
     """
-    if horizon < 0.0:
-        raise ValueError(f"horizon must be non-negative, got {horizon}")
+    check_horizon(horizon)
     n = chain.n_states
     if horizon == 0.0:
         return np.zeros(n)

@@ -296,13 +296,17 @@ def mocus(
 
     next_progress = progress_every
     pick_memo: dict[int, int] = {}
+    # Faults are armed before a run starts, never during one: poll them
+    # per expansion only when some fault is armed at the call.
+    poll_faults = faults.any_armed()
     try:
         while stack:
             # Budget polls, fault polls and progress snapshots all happen
             # before the pop, so the frontier is exactly the current
             # stack — a snapshot taken mid-expansion would lose the
             # in-flight partial and every cutset below it.
-            faults.check("mocus")
+            if poll_faults:
+                faults.check("mocus")
             if budget is not None and not (stats.partials_expanded & 255):
                 budget.check_deadline("mocus")
             if on_progress is not None and stats.partials_expanded >= next_progress:

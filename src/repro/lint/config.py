@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.ctmc.transient import check_horizon
 from repro.lint.diagnostic import Severity
 
 __all__ = ["LintConfig"]
@@ -54,8 +55,7 @@ class LintConfig:
     severity_overrides: Mapping[str, Severity] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.horizon < 0.0:
-            raise ValueError(f"horizon must be non-negative, got {self.horizon}")
+        check_horizon(self.horizon)
         if self.cutoff < 0.0:
             raise ValueError(f"cutoff must be non-negative, got {self.cutoff}")
 

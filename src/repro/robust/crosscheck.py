@@ -88,9 +88,6 @@ MC_SAMPLE = 1
 #: a corrupted likelihood ratio overshoots it by orders of magnitude.
 MC_SIGMAS = 5.0
 
-#: Requested 95 % relative half-width of the statistical check's estimate.
-MC_TARGET_REL_ERROR = 0.10
-
 #: Cap on the trajectories the statistical check spends per cutset.
 MC_MAX_RUNS = 4_000
 
@@ -394,7 +391,7 @@ def _rare_event_sample(
     """
     from repro.core.classify import classification_report
     from repro.core.cutset_model import build_cutset_model
-    from repro.ctmc.rare import RareEventConfig, estimate_failure_probability
+    from repro.ctmc.rare import estimate_failure_probability
 
     candidates = _exact_candidates(records)
     if not candidates:
@@ -402,9 +399,6 @@ def _rare_event_sample(
         return 0
     sample = rng.sample(candidates, min(MC_SAMPLE, len(candidates)))
     classes = classification_report(sdft).by_gate
-    config = RareEventConfig(
-        target_rel_error=MC_TARGET_REL_ERROR, max_runs=MC_MAX_RUNS, engine="auto"
-    )
     checked = 0
     for record in sample:
         name = "+".join(sorted(record.cutset))
@@ -425,7 +419,11 @@ def _rare_event_sample(
         seed = (MC_SEED + zlib.crc32(f"crosscheck\x00{name}".encode())) % 2**32
         try:
             result = estimate_failure_probability(
-                model.model, opts.horizon, config, seed=seed, metrics=metrics
+                model.model,
+                opts.horizon,
+                max_runs=MC_MAX_RUNS,
+                seed=seed,
+                metrics=metrics,
             )
         except (NumericalError, AnalysisError) as error:
             skipped.append(f"mc check of {name} failed: {error}")

@@ -13,7 +13,8 @@ Stages wired into the pipeline:
 * ``"transient_solve"`` — before the transient/first-passage solve,
 * ``"lump"``           — before lumping a chain,
 * ``"bound"``          — before the interval-bound fallback rung,
-* ``"mocus"``          — inside the MOCUS expansion loop,
+* ``"mocus"``          — inside the MOCUS expansion loop (polled only
+  when a fault is already armed as the search starts),
 * ``"checkpoint"``     — before writing a checkpoint snapshot,
 * ``"worker_kill"``    — inside a pool worker, before it starts solving
   (process-level faults: a ``when`` predicate may ``os.kill`` the

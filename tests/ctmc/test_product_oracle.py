@@ -18,8 +18,7 @@ from repro.core.sdft import SdFaultTreeBuilder
 from repro.ctmc.builders import erlang_failure, triggered_erlang
 from repro.ctmc.chain import Ctmc
 from repro.ctmc.product import SdSemantics, build_product
-from repro.ctmc.rare import RareEventConfig, estimate_failure_probability
-from repro.ctmc.simulate import simulate_failure_probability
+from repro.ctmc.rare import estimate_failure_probability
 from repro.ctmc.transient import _uniformized
 
 from tests.ctmc.product_oracle import LabelSemantics, build_product_oracle
@@ -169,12 +168,6 @@ def assert_estimate(result, expected) -> None:
 class TestSimulatorsUnchanged:
     """Fixed-seed estimates, pinned from the label-semantics kernel."""
 
-    def test_crude_simulator(self, cooling_sdft):
-        result = simulate_failure_probability(cooling_sdft, 2400.0, n_runs=3000, seed=2)
-        assert (result.estimate, result.n_failures) == (0.055, 165)
-        result = simulate_failure_probability(_erlang_vote(), 24.0, n_runs=2000, seed=4)
-        assert (result.estimate, result.n_failures) == (0.098, 196)
-
     @pytest.mark.parametrize(
         "engine, expected",
         [
@@ -185,10 +178,7 @@ class TestSimulatorsUnchanged:
     )
     def test_rare_event_engines_on_erlang_vote(self, engine, expected):
         result = estimate_failure_probability(
-            _erlang_vote(),
-            24.0,
-            RareEventConfig(engine=engine, max_runs=3000),
-            seed=6,
+            _erlang_vote(), 24.0, engine=engine, max_runs=3000, seed=6
         )
         assert_estimate(result, expected)
 
@@ -201,9 +191,6 @@ class TestSimulatorsUnchanged:
     )
     def test_rare_event_engines_on_cooling(self, cooling_sdft, engine, expected):
         result = estimate_failure_probability(
-            cooling_sdft,
-            24.0,
-            RareEventConfig(engine=engine, max_runs=4000),
-            seed=5,
+            cooling_sdft, 24.0, engine=engine, max_runs=4000, seed=5
         )
         assert_estimate(result, expected)

@@ -1,9 +1,9 @@
-"""Tests of the exact product-chain semantics and the simulator."""
+"""Tests of the exact product-chain semantics and the crude simulator."""
 
 import pytest
 
 from repro.ctmc.product import SdSemantics, build_product
-from repro.ctmc.simulate import simulate_failure_probability
+from repro.ctmc.rare import estimate_failure_probability
 from repro.ctmc.transient import reach_probability
 from repro.errors import AnalysisError
 
@@ -92,30 +92,43 @@ class TestProductChain:
 
 
 class TestSimulator:
+    """The crude engine of :mod:`repro.ctmc.rare` on the running example."""
+
     def test_matches_exact_product(self, cooling_sdft):
         product = build_product(cooling_sdft)
         exact = reach_probability(product.chain, 24.0)
-        result = simulate_failure_probability(
-            cooling_sdft, 24.0, n_runs=60_000, seed=123
+        result = estimate_failure_probability(
+            cooling_sdft, 24.0, engine="crude", max_runs=60_000, seed=123
         )
-        assert result.consistent_with(exact)
+        lower, upper = result.interval()
+        assert lower <= exact <= upper
 
     def test_seed_determinism(self, cooling_sdft):
-        a = simulate_failure_probability(cooling_sdft, 24.0, n_runs=2000, seed=9)
-        b = simulate_failure_probability(cooling_sdft, 24.0, n_runs=2000, seed=9)
-        assert a.estimate == b.estimate
+        a = estimate_failure_probability(
+            cooling_sdft, 24.0, engine="crude", max_runs=2000, seed=9
+        )
+        b = estimate_failure_probability(
+            cooling_sdft, 24.0, engine="crude", max_runs=2000, seed=9
+        )
+        assert a == b
 
     def test_zero_horizon_counts_initial_failures(self, cooling_sdft):
-        result = simulate_failure_probability(cooling_sdft, 0.0, n_runs=5000, seed=1)
+        result = estimate_failure_probability(
+            cooling_sdft, 0.0, engine="crude", max_runs=5000, seed=1
+        )
         # Only static initial failures can fail the top at t=0: roughly
         # p(e) + p(a)p(c) ~ 1.2e-5; with 5000 runs usually zero failures.
         assert result.estimate < 0.01
 
     def test_confidence_interval_brackets_estimate(self, cooling_sdft):
-        result = simulate_failure_probability(cooling_sdft, 24.0, n_runs=3000, seed=2)
-        low, high = result.confidence_interval
+        result = estimate_failure_probability(
+            cooling_sdft, 24.0, engine="crude", max_runs=3000, seed=2
+        )
+        low, high = result.interval(sigmas=1.96)
         assert low <= result.estimate <= high
 
     def test_negative_horizon_rejected(self, cooling_sdft):
         with pytest.raises(ValueError):
-            simulate_failure_probability(cooling_sdft, -1.0, n_runs=10)
+            estimate_failure_probability(
+                cooling_sdft, -1.0, engine="crude", max_runs=10
+            )

@@ -19,10 +19,9 @@ from repro.ctmc.builders import (
     triggered_repairable,
 )
 from repro.ctmc.product import build_product
-from repro.ctmc.rare import RareEventConfig, estimate_failure_probability
+from repro.ctmc.rare import PILOT_MIN_FAILURES, estimate_failure_probability
 from repro.ctmc.simulate import TrajectoryKernel
 from repro.ctmc.transient import reach_probability
-from repro.errors import NumericalError
 from repro.robust import faults
 
 HORIZON = 24.0
@@ -46,20 +45,12 @@ def rare_exact(rare_pair):
 
 
 class TestConfig:
-    def test_rejects_unknown_engine(self):
+    def test_rejects_unknown_engine(self, rare_pair):
         with pytest.raises(ValueError, match="engine"):
-            RareEventConfig(engine="quantum")
-
-    def test_rejects_degenerate_bias(self):
-        with pytest.raises(ValueError, match="bias"):
-            RareEventConfig(bias=1.0)
-
-    def test_rejects_nonpositive_target(self):
-        with pytest.raises(ValueError, match="target_rel_error"):
-            RareEventConfig(target_rel_error=0.0)
+            estimate_failure_probability(rare_pair, HORIZON, engine="quantum")
 
     def test_rejects_negative_horizon(self, rare_pair):
-        with pytest.raises(NumericalError, match="horizon"):
+        with pytest.raises(ValueError, match="horizon"):
             estimate_failure_probability(rare_pair, -1.0)
 
 
@@ -71,10 +62,7 @@ class TestAcceptance:
 
     def test_crude_sees_nothing_at_the_same_budget(self, rare_pair):
         crude = estimate_failure_probability(
-            rare_pair,
-            HORIZON,
-            RareEventConfig(engine="crude", max_runs=20_000),
-            seed=7,
+            rare_pair, HORIZON, engine="crude", max_runs=20_000, seed=7
         )
         assert crude.n_failures == 0
         assert crude.estimate == 0.0
@@ -82,10 +70,7 @@ class TestAcceptance:
 
     def test_is_reaches_ten_percent_and_brackets(self, rare_pair, rare_exact):
         result = estimate_failure_probability(
-            rare_pair,
-            HORIZON,
-            RareEventConfig(engine="is", max_runs=20_000),
-            seed=7,
+            rare_pair, HORIZON, engine="is", max_runs=20_000, seed=7
         )
         assert result.converged
         assert result.achieved_rel_error <= 0.10
@@ -96,21 +81,15 @@ class TestAcceptance:
     def test_auto_routes_the_rare_case_to_importance_sampling(
         self, rare_pair, rare_exact
     ):
-        result = estimate_failure_probability(
-            rare_pair, HORIZON, RareEventConfig(engine="auto"), seed=3
-        )
+        result = estimate_failure_probability(rare_pair, HORIZON, engine="auto", seed=3)
         assert result.engine == "is"
         assert result.converged
         lower, upper = result.interval(sigmas=4.0)
         assert lower <= rare_exact <= upper
 
     def test_same_seed_is_bit_identical(self, rare_pair):
-        first = estimate_failure_probability(
-            rare_pair, HORIZON, RareEventConfig(), seed=42
-        )
-        second = estimate_failure_probability(
-            rare_pair, HORIZON, RareEventConfig(), seed=42
-        )
+        first = estimate_failure_probability(rare_pair, HORIZON, seed=42)
+        second = estimate_failure_probability(rare_pair, HORIZON, seed=42)
         assert first == second  # frozen dataclass: field-exact equality
 
 
@@ -125,9 +104,10 @@ class TestUnbiasedness:
         biased estimator (a wrong likelihood-ratio factor anywhere)
         lands many sigmas out.
         """
-        config = RareEventConfig(engine="is", max_runs=4_000)
         results = [
-            estimate_failure_probability(rare_pair, HORIZON, config, seed=s)
+            estimate_failure_probability(
+                rare_pair, HORIZON, engine="is", max_runs=4_000, seed=s
+            )
             for s in range(24)
         ]
         estimates = np.array([r.estimate for r in results])
@@ -140,10 +120,7 @@ class TestUnbiasedness:
         self, rare_pair, rare_exact
     ):
         result = estimate_failure_probability(
-            rare_pair,
-            HORIZON,
-            RareEventConfig(engine="splitting"),
-            seed=11,
+            rare_pair, HORIZON, engine="splitting", seed=11
         )
         assert result.engine == "splitting"
         assert result.n_failures > 0
@@ -176,30 +153,23 @@ class TestNonRareModels:
         b.dynamic_event("x", exponential_failure(0.05))
         b.or_("top", "x")
         model = b.build("top")
-        result = estimate_failure_probability(
-            model, HORIZON, RareEventConfig(engine="auto"), seed=1
-        )
+        result = estimate_failure_probability(model, HORIZON, engine="auto", seed=1)
         assert result.engine == "crude"
-        assert result.pilot_failures >= RareEventConfig().pilot_min_failures
+        assert result.pilot_failures >= PILOT_MIN_FAILURES
 
     @pytest.mark.parametrize("engine", ["crude", "is", "splitting"])
     def test_every_engine_brackets_the_cooling_value(
         self, cooling, cooling_exact, engine
     ):
         result = estimate_failure_probability(
-            cooling,
-            HORIZON,
-            RareEventConfig(engine=engine, max_runs=20_000),
-            seed=5,
+            cooling, HORIZON, engine=engine, max_runs=20_000, seed=5
         )
         lower, upper = result.interval(sigmas=4.0)
         assert lower <= cooling_exact <= upper
 
     def test_forcing_weights_stay_strictly_positive(self, cooling):
         """Likelihood ratios are products of positive factors, never 0/inf."""
-        result = estimate_failure_probability(
-            cooling, HORIZON, RareEventConfig(engine="is"), seed=9
-        )
+        result = estimate_failure_probability(cooling, HORIZON, engine="is", seed=9)
         assert np.isfinite(result.estimate)
         assert 0.0 < result.estimate < 1.0
 
@@ -207,10 +177,7 @@ class TestNonRareModels:
 class TestIntervals:
     def test_zero_failures_fall_back_to_rule_of_three(self, rare_pair):
         result = estimate_failure_probability(
-            rare_pair,
-            HORIZON,
-            RareEventConfig(engine="crude", max_runs=2_000),
-            seed=1,
+            rare_pair, HORIZON, engine="crude", max_runs=2_000, seed=1
         )
         assert result.n_failures == 0
         lower, upper = result.interval()
@@ -222,7 +189,7 @@ class TestIntervals:
             "rare_event_weights", lambda w: w * float("nan"), times=1
         ):
             result = estimate_failure_probability(
-                rare_pair, HORIZON, RareEventConfig(engine="is"), seed=2
+                rare_pair, HORIZON, engine="is", seed=2
             )
         lower, upper = result.interval()
         assert np.isnan(result.estimate)
@@ -234,15 +201,13 @@ class TestIntervals:
             "rare_event_estimate", lambda p: p * 1e12 + 1.1, times=1
         ):
             result = estimate_failure_probability(
-                rare_pair, HORIZON, RareEventConfig(engine="is"), seed=2
+                rare_pair, HORIZON, engine="is", seed=2
             )
         lower, upper = result.interval(sigmas=4.0)
         assert lower > upper  # inverted: the interval-order guard fires
 
     def test_zero_horizon_estimates_zero(self, rare_pair):
-        result = estimate_failure_probability(
-            rare_pair, 0.0, RareEventConfig(), seed=4
-        )
+        result = estimate_failure_probability(rare_pair, 0.0, seed=4)
         assert result.estimate == 0.0
         lower, upper = result.interval()
         assert lower == 0.0 and upper <= 1.0
@@ -251,10 +216,7 @@ class TestIntervals:
 class TestBudget:
     def test_max_runs_caps_the_total(self, rare_pair):
         result = estimate_failure_probability(
-            rare_pair,
-            HORIZON,
-            RareEventConfig(engine="is", max_runs=500, batch_size=200),
-            seed=6,
+            rare_pair, HORIZON, engine="is", max_runs=500, seed=6
         )
         assert result.n_runs <= 500
 
@@ -279,6 +241,6 @@ class TestKernelGuards:
         assert absorbing, "some draws must leave the spare stuck off"
         assert all(kernel.moves(int(s)) is None for s in absorbing)
         result = estimate_failure_probability(
-            model, HORIZON, RareEventConfig(engine="crude", max_runs=500), seed=0
+            model, HORIZON, engine="crude", max_runs=500, seed=0
         )
         assert 0.0 <= result.estimate <= 1.0

@@ -3,11 +3,12 @@
 import pytest
 from hypothesis import given
 
-from repro.errors import CutoffError, UnknownNodeError
+from repro.errors import CutoffError, InjectedFaultError, UnknownNodeError
 from repro.ft.builder import FaultTreeBuilder
 from repro.ft.cutsets import cutset_probability
 from repro.ft.mocus import MocusOptions, constrained_mcs, mocus
 from repro.ft.scenario import minimal_failure_sets
+from repro.robust import faults
 
 from tests.strategies import fault_trees
 
@@ -85,6 +86,21 @@ class TestLimits:
         tree = self._wide_tree(20)
         with pytest.raises(CutoffError):
             mocus(tree, MocusOptions(cutoff=0.0, max_cutsets=5))
+
+    def test_fault_armed_before_the_call_trips_mid_search(self):
+        """The fault poll is chosen once per call, then runs every expansion."""
+        tree = self._wide_tree(20)
+        polls = []
+
+        def on_tenth_poll() -> bool:
+            polls.append(None)
+            return len(polls) == 10
+
+        with faults.inject("mocus", when=on_tenth_poll):
+            with pytest.raises(InjectedFaultError):
+                mocus(tree, MocusOptions(cutoff=0.0))
+        assert len(polls) == 10
+        assert mocus(tree, MocusOptions(cutoff=0.0)).stats.partials_expanded > 10
 
     def test_unknown_top_rejected(self, cooling_tree):
         with pytest.raises(UnknownNodeError):

@@ -93,6 +93,14 @@ class TestSimulate:
         assert "95% CI" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["simulate", "lint"])
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_non_finite_horizon_exits_1(sd_model_file, capsys, command, horizon):
+    assert main([command, sd_model_file, "--horizon", horizon]) == 1
+    err = capsys.readouterr().err
+    assert f"horizon must be finite and >= 0, got {horizon}" in err
+
+
 class TestDemoBwr:
     def test_save(self, tmp_path, capsys):
         target = tmp_path / "bwr.json"

@@ -21,7 +21,7 @@ from repro.ctmc.builders import (
     triggered_erlang,
     triggered_repairable,
 )
-from repro.ctmc.simulate import simulate_failure_probability
+from repro.ctmc.rare import estimate_failure_probability
 
 
 def _running_example():
@@ -110,8 +110,11 @@ class TestThreeWayAgreement:
     def test_simulation_agrees_with_exact(self, name):
         sdft = MODELS[name]()
         exact = analyze_exact(sdft, 24.0)
-        simulated = simulate_failure_probability(sdft, 24.0, n_runs=30_000, seed=17)
-        assert simulated.consistent_with(exact)
+        simulated = estimate_failure_probability(
+            sdft, 24.0, engine="crude", max_runs=30_000, seed=17
+        )
+        lower, upper = simulated.interval()
+        assert lower <= exact <= upper
 
 
 class TestRareEventConvergence:
