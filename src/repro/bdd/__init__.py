@@ -2,11 +2,11 @@
 
 The exact counterpart of the MOCUS pipeline: compile a coherent fault
 tree into a BDD, read off the exact top-event probability, extract the
-exact minimal cutsets.  Since the static-engine promotion this is the
-*production* quantifier for trigger-free fault trees
-(:func:`~repro.bdd.quantify.quantify_static_tree`, selected by
-``AnalysisOptions(static_engine="auto"|"bdd")``), as well as the exact
-oracle behind the differential cross-checks and the cutset-engine
+exact minimal cutsets.  This is the *production* quantifier for
+trigger-free fault trees
+(:func:`~repro.bdd.quantify.quantify_static_tree`, with cutset
+aggregation as the fallback when the node budget trips), as well as the
+exact oracle behind the differential cross-checks and the cutset-engine
 ablation benchmark.
 """
 

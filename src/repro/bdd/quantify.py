@@ -4,11 +4,11 @@ Wraps :func:`repro.bdd.ft_bdd.compile_tree` with the two scaling levers
 that turn the exact engine from a ≤24-event test oracle into the default
 static quantifier (the "BDDs Strike Back" posture):
 
-* **ordering selection** — ``ordering="auto"`` tries the heuristics of
-  :data:`repro.bdd.ordering.AUTO_CANDIDATES` in sequence, each under the
-  node budget, and keeps the first that compiles.  A tree whose DFS
-  order blows up often compiles comfortably under the weight or depth
-  order;
+* **ordering selection** — the heuristics of
+  :data:`repro.bdd.ordering.AUTO_CANDIDATES` are tried in sequence, each
+  under the node budget, and the first that compiles is kept.  A tree
+  whose DFS order blows up often compiles comfortably under the weight
+  or depth order;
 * **module-wise decomposition** — independent subtrees (modules, found
   by :func:`repro.ft.modules.find_modules`) are statistically
   independent of the rest of the tree, so each module compiles into its
@@ -20,8 +20,8 @@ static quantifier (the "BDDs Strike Back" posture):
 Everything stays exact: Shannon-expansion probability on each scope,
 independence across scopes.  When every ordering trips the budget on
 some scope, :class:`~repro.errors.BddBudgetExceeded` propagates and the
-caller (the analyzer's static-engine selection) falls back to cutset
-quantification.
+caller (the analyzer's static quantification) falls back to cutset
+aggregation.
 """
 
 from __future__ import annotations
@@ -57,20 +57,14 @@ class BddQuantification:
 
 
 def _compile_under(
-    tree: FaultTree, ordering: str, node_budget: int | None
+    tree: FaultTree, node_budget: int | None
 ) -> tuple[CompiledTree, str]:
-    """Compile ``tree`` under one ordering, or try the auto candidates.
+    """Compile ``tree`` under the first auto candidate that fits.
 
     Returns the compiled tree and the name of the heuristic that
-    succeeded.  With ``ordering="auto"``, each candidate gets the full
-    node budget; the error of the *last* candidate propagates when all
-    of them trip it.
+    succeeded.  Each candidate gets the full node budget; the error of
+    the *last* candidate propagates when all of them trip it.
     """
-    if ordering != "auto":
-        heuristic = ORDERINGS.get(ordering)
-        if heuristic is None:
-            raise ValueError(f"unknown BDD ordering {ordering!r}")
-        return compile_tree(tree, heuristic(tree), node_budget), ordering
     last_error: BddBudgetExceeded | None = None
     for name in AUTO_CANDIDATES:
         try:
@@ -126,17 +120,13 @@ def _local_scope(
 
 
 def quantify_static_tree(
-    tree: FaultTree,
-    node_budget: int | None = None,
-    ordering: str = "auto",
-    use_modules: bool = True,
+    tree: FaultTree, node_budget: int | None = None
 ) -> BddQuantification:
     """Exact top-event probability of a static fault tree.
 
-    ``ordering`` is a name from :data:`repro.bdd.ordering.ORDERINGS` or
-    ``"auto"`` (try :data:`~repro.bdd.ordering.AUTO_CANDIDATES` in
-    sequence under the budget).  With ``use_modules`` (the default), the
-    tree is cut at its module gates and each scope compiles separately —
+    The tree is cut at its module gates and each scope compiles
+    separately under the first of
+    :data:`~repro.bdd.ordering.AUTO_CANDIDATES` that fits the budget —
     processed bottom-up over an explicit worklist, so arbitrarily deep
     module nesting (chain trees) never recurses.
 
@@ -147,26 +137,21 @@ def quantify_static_tree(
     pseudo_cache: dict[str, BasicEvent] = {}
     module_orderings: list[str] = []
     total_nodes = 0
-    scopes: list[str] = []
-    if use_modules:
-        report = find_modules(tree)
-        # Bottom-up over all module gates below the top: children-first
-        # topological order guarantees nested modules are solved before
-        # the scopes that reference them.
-        module_set = {m for m in report.modules if m != tree.top}
-        scopes = [
-            name for name in tree.topological_order() if name in module_set
-        ]
+    # Bottom-up over all module gates below the top: children-first
+    # topological order guarantees nested modules are solved before the
+    # scopes that reference them.
+    module_set = {m for m in find_modules(tree).modules if m != tree.top}
+    scopes = [name for name in tree.topological_order() if name in module_set]
     for scope_root in scopes:
         local = _local_scope(
             tree, scope_root, module_probability, pseudo_cache
         )
-        compiled, used = _compile_under(local, ordering, node_budget)
+        compiled, used = _compile_under(local, node_budget)
         total_nodes += compiled.node_count
         module_orderings.append(used)
         module_probability[scope_root] = compiled.probability()
     top_scope = _local_scope(tree, tree.top, module_probability, pseudo_cache)
-    compiled, used = _compile_under(top_scope, ordering, node_budget)
+    compiled, used = _compile_under(top_scope, node_budget)
     total_nodes += compiled.node_count
     return BddQuantification(
         probability=compiled.probability(),

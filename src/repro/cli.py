@@ -77,16 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reduce per-cutset chains by exact lumping before solving",
     )
     analyze_cmd.add_argument(
-        "--bounds",
-        action="store_true",
-        help="bound oversized cutset chains instead of failing",
-    )
-    analyze_cmd.add_argument(
         "--degrade",
         action="store_true",
         help="per-cutset fault isolation: retry failing cutsets down the "
         "degradation ladder (exact -> lumped -> bound) "
-        "instead of aborting the run",
+        "instead of aborting the run; oversized chains are bounded",
     )
     analyze_cmd.add_argument(
         "--wall-seconds",
@@ -162,15 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the persistent solve cache for this run",
-    )
-    analyze_cmd.add_argument(
-        "--static-engine",
-        choices=("auto", "bdd", "mcs"),
-        default="auto",
-        help="quantifier for static (trigger-free) models: 'bdd' compiles "
-        "the tree into a BDD and serves the exact probability, 'mcs' "
-        "keeps the cutset aggregation, 'auto' (default) prefers the "
-        "BDD and falls back to cutsets when the node budget trips",
     )
     analyze_cmd.add_argument(
         "--bdd-node-budget",
@@ -507,7 +493,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         lint=getattr(args, "lint", False),
         simplify=getattr(args, "simplify", False),
         lump_chains=getattr(args, "lump", False),
-        on_oversize="bounds" if getattr(args, "bounds", False) else "raise",
         fault_isolation=args.degrade,
         wall_seconds=args.wall_seconds,
         max_total_states=args.max_total_states,
@@ -521,7 +506,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         trace_path=args.trace,
         collect_metrics=args.metrics,
         cache_dir=_resolve_cache_dir(args),
-        static_engine=args.static_engine,
         bdd_node_budget=args.bdd_node_budget,
     )
     result = analyze(sdft, options)
@@ -531,12 +515,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(event.message)
     if args.trace:
         print(f"trace written to {args.trace} (inspect with: sdft trace {args.trace})")
-    if result.n_bounded_cutsets and not result.is_degraded:
-        lower, upper = result.failure_probability_interval()
-        print(
-            f"{result.n_bounded_cutsets} cutsets bounded (oversized chains): "
-            f"true value in [{lower:.3e}, {upper:.3e}]"
-        )
     print()
     print(f"top {args.top} cutsets by quantified probability:")
     for record in result.top_contributors(args.top):
@@ -721,7 +699,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         print(
             "warning: general-case triggers present — the per-cutset "
             "models pull in static guards and may grow; consider "
-            "AnalysisOptions(on_oversize='bounds')"
+            "'sdft analyze --degrade' to bound oversized chains"
         )
     else:
         print(

@@ -43,7 +43,6 @@ from repro.errors import (
     NumericalError,
 )
 from repro.ft.mocus import MocusOptions, MocusResult, mocus
-from repro.ft.probability import rare_event_probability
 from repro.obs.core import Observability
 from repro.robust import faults
 from repro.robust.budget import Budget
@@ -78,31 +77,26 @@ class AnalysisOptions:
     probabilistic cutoff ``c*`` applied both during MOCUS and to the
     final quantified list; ``epsilon`` bounds the transient solver's
     truncation error; ``max_chain_states`` guards against cutset chains
-    that explode (a modelling smell the user should hear about).
-    ``on_oversize`` chooses between failing on an oversized chain
-    (``"raise"``) and the interval approximation of the paper's
-    Section VIII (``"bounds"`` — the affected cutsets contribute their
-    conservative upper bound and the result reports the interval).
-    ``lump_chains`` reduces every per-cutset chain by exact ordinary
-    lumping before solving (symmetric redundancy collapses).
+    that explode (a modelling smell the user should hear about): an
+    oversized chain fails the run, or under ``fault_isolation`` is
+    answered by the interval approximation of the paper's Section VIII
+    (the cutset contributes its conservative upper bound and the result
+    reports the interval).  ``lump_chains`` reduces every per-cutset
+    chain by exact ordinary lumping before solving (symmetric
+    redundancy collapses).
 
-    Static-engine selection (:mod:`repro.bdd`):
-
-    * ``static_engine`` — how a *static* (trigger-free, no dynamic
-      events) model's top probability is served.  ``"auto"`` (default)
-      and ``"bdd"`` quantify exactly by compiling the static tree into
-      a BDD (module-wise, with automatic ordering selection), falling
-      back to cutset aggregation when the node budget trips; ``"mcs"``
-      keeps the classical cutset path.  Dynamic models always use the
-      cutset path.  The result's ``method`` field labels what was
-      served: ``"bdd-exact"``, ``"mcs-rare-event"``, or
-      ``"mcs-min-cut-ub"`` (the sound substitute when the rare-event
-      sum overshoots 1.0).  The cutset records are produced either way
-      — importance measures and per-cutset diagnostics do not change.
-    * ``bdd_node_budget`` — node-table cap per BDD compilation scope; a
-      compilation that would exceed it is abandoned cleanly
-      (:class:`~repro.errors.BddBudgetExceeded`) and the run falls back
-      to cutset quantification with a health note.
+    Static quantification (:mod:`repro.bdd`): a *static* (trigger-free,
+    no dynamic events) model's top probability is served exactly by
+    compiling the static tree into a BDD (module-wise, with automatic
+    ordering selection).  ``bdd_node_budget`` caps the node table per
+    compilation scope; a compilation that would exceed it is abandoned
+    cleanly (:class:`~repro.errors.BddBudgetExceeded`) and the run
+    falls back to cutset aggregation with a health note.  Dynamic models
+    always use the cutset path.  The result's ``method`` field labels
+    what was served: ``"bdd-exact"``, ``"mcs-rare-event"``, or
+    ``"mcs-min-cut-ub"`` (the sound substitute when the rare-event sum
+    overshoots 1.0).  The cutset records are produced either way —
+    importance measures and per-cutset diagnostics do not change.
 
     ``mocus_probability_overrides`` replaces the probabilities of the
     named events in the static translation before MOCUS runs — the
@@ -223,7 +217,6 @@ class AnalysisOptions:
     simplify: bool = False
     max_chain_states: int = 200_000
     max_partials: int = 20_000_000
-    on_oversize: str = "raise"
     lump_chains: bool = False
     mocus_probability_overrides: "dict[str, float] | None" = None
     fault_isolation: bool = False
@@ -239,7 +232,6 @@ class AnalysisOptions:
     trace_path: str | None = None
     collect_metrics: bool = False
     cache_dir: str | None = None
-    static_engine: str = "auto"
     bdd_node_budget: int = 200_000
 
     def __post_init__(self) -> None:
@@ -248,15 +240,6 @@ class AnalysisOptions:
 
         resolve_mode(self.verify)
         resolve_jobs(self.jobs)
-        choices = (
-            ("static_engine", self.static_engine, ("auto", "bdd", "mcs")),
-            ("on_oversize", self.on_oversize, ("raise", "bounds")),
-        )
-        for name, value, allowed in choices:
-            if value not in allowed:
-                raise ValueError(
-                    f"unknown {name} {value!r}; expected one of {allowed}"
-                )
         check_horizon(self.horizon)
         timeout = self.pool_task_timeout_seconds
         ranges = (
@@ -636,9 +619,8 @@ def _records_options_key(opts: AnalysisOptions) -> tuple:
     ``jobs``, tracing, verification mode and checkpoint knobs are
     deliberately absent: the determinism contract says they never change
     analysis values, so a result computed under any of them answers all
-    of them.  ``static_engine`` enters only as "mcs or not": ``"auto"``
-    and ``"bdd"`` run the same code.  (Budgeted or checkpointed runs are
-    not *stored* at all — see :func:`_persist`.)
+    of them.  (Budgeted or checkpointed runs are not *stored* at all —
+    see :func:`_persist`.)
     """
     overrides = None
     if opts.mocus_probability_overrides:
@@ -652,11 +634,9 @@ def _records_options_key(opts: AnalysisOptions) -> tuple:
         repr(opts.epsilon),
         opts.max_chain_states,
         opts.max_partials,
-        opts.on_oversize,
         opts.lump_chains,
         overrides,
         opts.fault_isolation,
-        opts.static_engine == "mcs",
         opts.bdd_node_budget,
         opts.simplify,
     )
@@ -989,11 +969,10 @@ def _serve(run: _Run) -> None:
 def _select_served_total(run: _Run) -> tuple[float, str, dict]:
     """The served top probability, its method label, and BDD stats.
 
-    A static model under ``static_engine`` "auto" or "bdd" quantifies
-    exactly via the module-wise BDD compilation of
-    :mod:`repro.bdd.quantify` (consulting the persistent bdd cache layer
-    first); the node budget tripping falls back — with a health note —
-    to the cutset path.  A records-layer hit replays the stored choice:
+    A static model quantifies exactly via the module-wise BDD
+    compilation of :mod:`repro.bdd.quantify` (consulting the persistent
+    bdd cache layer first); the node budget tripping falls back — with
+    a health note — to the cutset path.  A records-layer hit replays the stored choice:
     its BDD value, or the cutset path without a second BDD attempt.  The
     cutset path serves the rare-event record sum while it is a
     probability and the min-cut upper bound over the record values once
@@ -1005,7 +984,7 @@ def _select_served_total(run: _Run) -> tuple[float, str, dict]:
         return total, "bdd-exact", info
     sdft = run.sdft
     static = not sdft.dynamic_events and not sdft.triggers
-    if stored is None and static and opts.static_engine != "mcs":
+    if stored is None and static:
         try:
             return _bdd_quantification(run)
         except BddBudgetExceeded as error:
@@ -1372,25 +1351,16 @@ class _QuantifyContext:
             return outcome.record
         if model is None:
             model = build_cutset_model(run.sdft, cutset, self.classes)
-        record = quantify_model(
+        return quantify_model(
             model,
             opts.horizon,
             run.cache,
             opts.epsilon,
             opts.max_chain_states,
-            opts.on_oversize,
             opts.lump_chains,
             run.budget,
             run.obs,
         )
-        if record.bounded:
-            health.degradation(
-                "quantify",
-                "oversized chain bounded by the interval approximation",
-                cutset=cutset,
-                rung="bound",
-            )
-        return record
 
     def _worst_case(self, cutset: frozenset) -> float:
         """The static worst-case ``p̄(C)`` — inequality (1)'s upper bound.
@@ -1686,7 +1656,5 @@ def analyze_static(
     """
     opts = options or AnalysisOptions()
     translation = to_static(sdft, opts.horizon)
-    result = rare_event_probability(
-        translation.tree, MocusOptions(cutoff=opts.cutoff, max_partials=opts.max_partials)
-    )
-    return result.value
+    mocus_options = MocusOptions(cutoff=opts.cutoff, max_partials=opts.max_partials)
+    return mocus(translation.tree, mocus_options).cutsets.rare_event()

@@ -23,7 +23,6 @@ from repro.core.sdft import SdFaultTree
 from repro.ctmc.lumping import lump
 from repro.ctmc.product import build_product
 from repro.ctmc.transient import reach_probability
-from repro.errors import AnalysisError
 from repro.obs.core import NULL_OBS
 from repro.perf.fingerprint import model_signature
 from repro.robust import faults
@@ -44,10 +43,6 @@ __all__ = [
     "solve_product",
 ]
 
-#: Valid ``on_oversize`` modes, validated before any work is done.
-_OVERSIZE_MODES = ("raise", "bounds")
-
-
 @dataclass(frozen=True)
 class McsQuantification:
     """Result of quantifying one minimal cutset.
@@ -56,10 +51,11 @@ class McsQuantification:
     and for cache hits; ``n_dynamic_in_model``/``n_added_dynamic`` are
     the statistics reported in the paper's Figure 2 and Section VI-A.
 
-    When a cutset's chain exceeded the size budget and interval mode was
-    enabled, ``bounded`` is set, ``probability`` holds the conservative
-    *upper* bound and ``lower_bound`` the matching lower bound (the
-    approximation of the paper's Section VIII).
+    When a cutset was answered by the degradation ladder's bound rung
+    (e.g. its chain exceeded the size budget), ``bounded`` is set,
+    ``probability`` holds the conservative *upper* bound and
+    ``lower_bound`` the matching lower bound (the approximation of the
+    paper's Section VIII).
     """
 
     cutset: frozenset[str]
@@ -175,7 +171,6 @@ def quantify_cutset(
     cache: QuantificationCache | None = None,
     epsilon: float = 1e-12,
     max_chain_states: int = 200_000,
-    on_oversize: str = "raise",
     lump_chains: bool = False,
     budget: "Budget | None" = None,
     obs: "Observability | None" = None,
@@ -183,18 +178,17 @@ def quantify_cutset(
     """Compute ``p̃(C)`` for one minimal cutset.
 
     ``classes`` and ``cache`` are optional shared state for bulk runs
-    (see :mod:`repro.core.analyzer`).  ``on_oversize`` decides what
-    happens when the cutset's chain would exceed ``max_chain_states``:
-    ``"raise"`` propagates the error, ``"bounds"`` falls back to the
-    interval approximation of :mod:`repro.core.bounds`.  ``budget`` is
+    (see :mod:`repro.core.analyzer`).  A chain that would exceed
+    ``max_chain_states`` raises
+    :class:`~repro.errors.ChainTooLargeError`; the degradation ladder
+    (:mod:`repro.robust.ladder`) answers it by the interval bound of
+    :mod:`repro.core.bounds`.  ``budget`` is
     an optional :class:`repro.robust.budget.Budget` charged for the
     chain states solved and polled for the wall-clock deadline.
     ``obs`` is an optional :class:`repro.obs.core.Observability`
     bundle recording a span (and solver metrics) per actual chain
     solve.
     """
-    if on_oversize not in _OVERSIZE_MODES:
-        raise ValueError(f"unknown on_oversize mode {on_oversize!r}")
     model = build_cutset_model(sdft, cutset, classes)
     return quantify_model(
         model,
@@ -202,7 +196,6 @@ def quantify_cutset(
         cache,
         epsilon,
         max_chain_states,
-        on_oversize,
         lump_chains,
         budget,
         obs,
@@ -215,7 +208,6 @@ def quantify_model(
     cache: QuantificationCache | None = None,
     epsilon: float = 1e-12,
     max_chain_states: int = 200_000,
-    on_oversize: str = "raise",
     lump_chains: bool = False,
     budget: "Budget | None" = None,
     obs: "Observability | None" = None,
@@ -232,8 +224,6 @@ def quantify_model(
     the cutset, chain size and resulting probability; static cutsets
     and cache hits record nothing (they do no solver work).
     """
-    if on_oversize not in _OVERSIZE_MODES:
-        raise ValueError(f"unknown on_oversize mode {on_oversize!r}")
     if model.trivially_zero:
         return _dynamic_record(model, 0.0, 0, 0.0, trivially_zero=True)
     if model.model is None:
@@ -275,16 +265,8 @@ def quantify_model(
     with obs.tracer.span(
         "quantify.solve", cutset="+".join(sorted(model.cutset))
     ) as span:
-        try:
-            faults.check("chain_build", cutset=model.cutset)
-            product = build_product(model.model, max_states=max_chain_states)
-        except AnalysisError:
-            if on_oversize != "bounds":
-                raise
-            # The single fallback mechanism: the same bound rung the
-            # degradation ladder ends on (repro.robust.ladder).
-            span.set(rung="bound")
-            return bound_record(model, horizon, epsilon)
+        faults.check("chain_build", cutset=model.cutset)
+        product = build_product(model.model, max_states=max_chain_states)
         dynamic_probability, solved_states = solve_product(
             product,
             horizon,
@@ -373,8 +355,7 @@ def bound_record(
 ) -> McsQuantification:
     """Quantify a cutset by the interval bound of :mod:`repro.core.bounds`.
 
-    The one fallback used both by ``on_oversize="bounds"`` and by the
-    last rung of the degradation ladder: ``probability`` is the
+    The last rung of the degradation ladder: ``probability`` is the
     conservative upper bound, ``lower_bound`` the matching lower bound,
     and ``bounded`` is set so interval reporting picks it up.
     """

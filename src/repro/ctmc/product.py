@@ -36,12 +36,13 @@ and decode.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable
 
 from repro.ctmc.chain import Ctmc
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ChainTooLargeError
 from repro.ft.tree import GateType
 
 __all__ = ["SdSemantics", "ProductChain", "build_product"]
@@ -233,6 +234,24 @@ class SdSemantics:
                 moves.append((name, i, tuple(moved), target_mask, rate))
         return moves
 
+    def min_initial_states(self) -> int:
+        """A lower bound on the number of consistent initial states.
+
+        The product of the initial support sizes of the static and
+        untriggered dynamic events: the update loop rewrites only
+        triggered events, so distinct combinations of the others stay
+        distinct states.  Costs one pass over the events, where
+        :meth:`initial` walks every combination.
+        """
+        sizes = []
+        for name in self.order:
+            if self.sdft.is_static(name):
+                p = self.sdft.static_events[name].probability
+                sizes.append(2 if 0.0 < p < 1.0 else 1)
+            elif name not in self.sdft.trigger_of:
+                sizes.append(len(self.sdft.chain_of(name).initial))
+        return math.prod(sizes)
+
     def initial(self) -> list[tuple[CodedState, int, float]]:
         """Consistent initial states as ``(codes, mask, probability)``.
 
@@ -365,12 +384,16 @@ def build_product(sdft, max_states: int = 200_000) -> ProductChain:
     Explores consistent states depth-first from the initial
     distribution; every evolution is followed by the update loop, and
     parallel evolutions that collapse onto the same consistent target
-    accumulate their rates.  Raises :class:`~repro.errors.AnalysisError`
-    when more than ``max_states`` states are reached — the exponential
-    wall this package exists to avoid.
+    accumulate their rates.  Raises
+    :class:`~repro.errors.ChainTooLargeError` when more than
+    ``max_states`` states are reached — the exponential wall this
+    package exists to avoid — and before enumerating the initial
+    distribution when it alone would exceed the cap.
     """
     semantics = SdSemantics(sdft)
     successors, decode = semantics.successors, semantics.decode
+    if semantics.min_initial_states() > max_states:
+        raise _too_large(max_states)
     initial = semantics.initial()
     # Per discovered state, by discovery id: codes, failed mask, labels.
     ids: dict[CodedState, int] = {}
@@ -389,10 +412,7 @@ def build_product(sdft, max_states: int = 200_000) -> ProductChain:
         sid = frontier.pop()
         explored.append(sid)
         if len(explored) > max_states:
-            raise AnalysisError(
-                f"product chain exceeds max_states={max_states}; use the "
-                f"per-cutset analysis (repro.core.analyzer) instead"
-            )
+            raise _too_large(max_states)
         for _, _, target, target_mask, rate in successors(coded[sid], masks[sid]):
             tid = ids.get(target)
             if tid is None:
@@ -413,3 +433,10 @@ def build_product(sdft, max_states: int = 200_000) -> ProductChain:
         [labels[i] for i in explored if fails(masks[i])],
     )
     return ProductChain(semantics, chain, [coded[i] for i in explored])
+
+
+def _too_large(max_states: int) -> ChainTooLargeError:
+    return ChainTooLargeError(
+        f"product chain exceeds max_states={max_states}; use the "
+        f"per-cutset analysis (repro.core.analyzer) instead"
+    )

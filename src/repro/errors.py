@@ -72,6 +72,16 @@ class CutoffError(AnalysisError):
     """The cutset search exceeded its configured work limits."""
 
 
+class ChainTooLargeError(AnalysisError):
+    """A product chain would exceed its ``max_states`` cap.
+
+    Raised by :func:`repro.ctmc.product.build_product`, before
+    enumeration when the initial states alone exceed the cap.  Lumping
+    cannot help (it runs on the built chain), so the degradation ladder
+    goes straight to its bound rung on this error.
+    """
+
+
 class NumericalError(ReproError):
     """A numerical routine failed to reach the requested accuracy."""
 
@@ -122,7 +132,7 @@ class BddBudgetExceeded(AnalysisError):
 
     Raised by :class:`repro.bdd.engine.BddManager` when creating one
     more node would exceed the manager's configured ``node_budget``.
-    The signal is clean by design: callers (the static-engine selection
+    The signal is clean by design: callers (the static quantification
     in :mod:`repro.core.analyzer`, the differential cross-check oracle)
     catch it and fall back to cutset quantification instead of letting
     an exponential-in-the-worst-case compilation eat the machine.

@@ -3,20 +3,14 @@
 This subpackage is the static substrate of the SD fault-tree analysis
 (paper, Sections II and IV): the DAG model itself, scenario semantics,
 MOCUS cutset generation with a probabilistic cutoff, the standard
-probability aggregations, importance measures and common-cause-failure
-expansion.
+probability aggregations (on :class:`CutSetList`), importance measures
+and common-cause-failure expansion.
 """
 
 from repro.ft.builder import FaultTreeBuilder
 from repro.ft.cutsets import CutSetList, cutset_probability, minimize
 from repro.ft.importance import importance, rank_by_fussell_vesely
 from repro.ft.mocus import MocusOptions, MocusResult, mocus
-from repro.ft.probability import (
-    ProbabilityResult,
-    exact_probability,
-    min_cut_upper_bound_probability,
-    rare_event_probability,
-)
 from repro.ft.tree import BasicEvent, FaultTree, Gate, GateType
 
 __all__ = [
@@ -28,13 +22,9 @@ __all__ = [
     "GateType",
     "MocusOptions",
     "MocusResult",
-    "ProbabilityResult",
     "cutset_probability",
-    "exact_probability",
     "importance",
-    "min_cut_upper_bound_probability",
     "minimize",
     "mocus",
     "rank_by_fussell_vesely",
-    "rare_event_probability",
 ]

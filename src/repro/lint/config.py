@@ -1,9 +1,10 @@
 """Configuration of the model linter.
 
 :class:`LintConfig` carries the analysis parameters the probabilistic
-rules compare against (horizon, cutoff), the rule thresholds, and the
-per-rule policy: codes can be disabled outright and their severities
-overridden — the same shape every mainstream linter exposes.
+rules compare against (horizon, cutoff) and the per-rule policy: codes
+can be disabled outright and their severities overridden — the same
+shape every mainstream linter exposes.  The rule thresholds are module
+constants.
 """
 
 from __future__ import annotations
@@ -16,6 +17,23 @@ from repro.lint.diagnostic import Severity
 
 __all__ = ["LintConfig"]
 
+#: Worst-case event probability above which the rare-event sum of
+#: Section IV starts to degrade (SD201, SD505).
+RARE_EVENT_THRESHOLD = 0.1
+#: ``max exit rate × horizon`` above which a chain is flagged as stiff;
+#: uniformization cost grows linearly with it (SD206).
+STIFFNESS_THRESHOLD = 1e4
+#: ``max exit rate × horizon`` below which a chain effectively never
+#: moves within the mission (SD208).
+NEGLIGIBLE_EXPOSURE = 1e-9
+#: Cap of the combinatorial cutset-count estimate of the classification
+#: preview (SD401).
+MCS_ESTIMATE_CAP = 1_000_000
+#: Node budget of the BDD compilations behind the semantic rules
+#: (SD5xx); on overrun those rules silently skip (lint must never
+#: raise) while the shape rules still run.
+SEM_NODE_BUDGET = 200_000
+
 
 @dataclass(frozen=True)
 class LintConfig:
@@ -26,19 +44,6 @@ class LintConfig:
     to get (``sdft lint --horizon --cutoff`` and
     :class:`~repro.core.analyzer.AnalysisOptions` feed them through).
 
-    ``rare_event_threshold`` is the worst-case event probability above
-    which the rare-event sum of Section IV starts to degrade;
-    ``stiffness_threshold`` bounds ``max exit rate × horizon`` before a
-    chain is flagged as stiff (uniformization cost grows linearly with
-    it); ``negligible_exposure`` is the ``max exit rate × horizon``
-    below which a chain effectively never moves within the mission;
-    ``mcs_estimate_cap`` caps the combinatorial cutset-count estimate
-    of the classification preview.
-
-    ``sem_node_budget`` bounds the BDD compilations behind the semantic
-    rules (SD5xx); on overrun those rules silently skip (lint must
-    never raise) while the shape rules still run.
-
     ``disabled`` names codes to skip; ``severity_overrides`` maps codes
     to replacement severities (e.g. promote ``SD201`` to an error for a
     strict CI gate).
@@ -46,11 +51,6 @@ class LintConfig:
 
     horizon: float = 24.0
     cutoff: float = 1e-15
-    rare_event_threshold: float = 0.1
-    stiffness_threshold: float = 1e4
-    negligible_exposure: float = 1e-9
-    mcs_estimate_cap: int = 1_000_000
-    sem_node_budget: int = 200_000
     disabled: frozenset[str] = frozenset()
     severity_overrides: Mapping[str, Severity] = field(default_factory=dict)
 

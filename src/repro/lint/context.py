@@ -21,7 +21,7 @@ from repro.ctmc.chain import Ctmc
 from repro.ctmc.triggered import TriggeredCtmc
 from repro.errors import AnalysisError, NumericalError
 from repro.ft.tree import FaultTree, Gate, GateType
-from repro.lint.config import LintConfig
+from repro.lint.config import MCS_ESTIMATE_CAP, SEM_NODE_BUDGET, LintConfig
 
 if TYPE_CHECKING:  # deferred: the sem package imports are lazy at runtime
     from repro.sem.bounds import BoundsReport
@@ -272,7 +272,7 @@ class LintContext:
             return logical_diagnostics(
                 self.tree,
                 constants=self.sem_constants,
-                node_budget=self.config.sem_node_budget,
+                node_budget=SEM_NODE_BUDGET,
             )
         except BddBudgetExceeded:
             return None
@@ -305,7 +305,7 @@ class LintContext:
         from repro.sem.rewrite import simplify
 
         try:
-            result = simplify(self.sdft, node_budget=self.config.sem_node_budget)
+            result = simplify(self.sdft, node_budget=SEM_NODE_BUDGET)
         except AnalysisError:
             return None
         return None if result.budget_hit else result
@@ -321,13 +321,13 @@ class LintContext:
         (OR sums, AND multiplies, ATLEAST runs the subset DP), ignoring
         minimality and shared subtrees — so it over-counts, which is the
         right direction for a "this will be slow" preview.  Saturates at
-        ``config.mcs_estimate_cap``.
+        :data:`~repro.lint.config.MCS_ESTIMATE_CAP`.
         """
         return self._mcs_estimates[node]
 
     @cached_property
     def _mcs_estimates(self) -> dict[str, int]:
-        cap = self.config.mcs_estimate_cap
+        cap = MCS_ESTIMATE_CAP
         estimates: dict[str, int] = {name: 1 for name in self.sdft.all_event_names}
         for gate in self.tree.gates_bottom_up():
             counts = [estimates[child] for child in gate.children]

@@ -15,6 +15,7 @@ from typing import Iterator
 
 from repro.core.classify import TriggerClass
 from repro.ft.tree import GateType
+from repro.lint.config import MCS_ESTIMATE_CAP
 from repro.lint.context import LintContext
 from repro.lint.diagnostic import Diagnostic, Severity
 from repro.lint.registry import rule
@@ -35,7 +36,7 @@ def check_general_case_triggers(ctx: LintContext) -> Iterator[Diagnostic]:
         dynamic = ctx.sdft.dynamic_under(gate_name)
         static = ctx.sdft.static_under(gate_name)
         estimate = ctx.mcs_estimate(gate_name)
-        cap = ctx.config.mcs_estimate_cap
+        cap = MCS_ESTIMATE_CAP
         about = f"~{estimate}" if estimate < cap else f">={cap}"
         yield Diagnostic(
             "SD401",

@@ -12,6 +12,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.lint.config import (
+    NEGLIGIBLE_EXPOSURE,
+    RARE_EVENT_THRESHOLD,
+    STIFFNESS_THRESHOLD,
+)
 from repro.lint.context import LintContext
 from repro.lint.diagnostic import Diagnostic, Severity
 from repro.lint.registry import rule
@@ -26,7 +31,7 @@ __all__: list[str] = []
     "Worst-case event probability is large; the rare-event sum degrades.",
 )
 def check_rare_event_threshold(ctx: LintContext) -> Iterator[Diagnostic]:
-    threshold = ctx.config.rare_event_threshold
+    threshold = RARE_EVENT_THRESHOLD
     for name in sorted(ctx.sdft.all_event_names):
         if name not in ctx.effective_reachable:
             continue
@@ -170,7 +175,7 @@ def check_events_below_cutoff(ctx: LintContext) -> Iterator[Diagnostic]:
     "will be expensive.",
 )
 def check_stiff_chains(ctx: LintContext) -> Iterator[Diagnostic]:
-    threshold = ctx.config.stiffness_threshold
+    threshold = STIFFNESS_THRESHOLD
     horizon = ctx.config.horizon
     for name, event in sorted(ctx.sdft.dynamic_events.items()):
         exposure = ctx.max_exit_rate(event.chain) * horizon
@@ -221,7 +226,7 @@ def check_inert_chains(ctx: LintContext) -> Iterator[Diagnostic]:
     "effectively never moves within the mission.",
 )
 def check_negligible_rates(ctx: LintContext) -> Iterator[Diagnostic]:
-    threshold = ctx.config.negligible_exposure
+    threshold = NEGLIGIBLE_EXPOSURE
     horizon = ctx.config.horizon
     for name, event in sorted(ctx.sdft.dynamic_events.items()):
         if not ctx.chain_can_fail(name):

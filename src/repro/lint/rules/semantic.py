@@ -10,14 +10,16 @@ the rare-event approximation before anything is solved, and the
 equivalence-checked diet preview.
 
 Every BDD-backed fact is budget-guarded through
-``LintConfig.sem_node_budget``: on overrun the context properties
-return ``None`` and the rules silently skip — lint never raises.
+:data:`~repro.lint.config.SEM_NODE_BUDGET`: on overrun the context
+properties return ``None`` and the rules silently skip — lint never
+raises.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+from repro.lint.config import RARE_EVENT_THRESHOLD
 from repro.lint.context import LintContext
 from repro.lint.diagnostic import Diagnostic, Severity
 from repro.lint.registry import rule
@@ -126,7 +128,7 @@ def check_absorbed_events(ctx: LintContext) -> Iterator[Diagnostic]:
     "The interval lower bound already breaks the rare-event regime.",
 )
 def check_bounds_refute_rare_event(ctx: LintContext) -> Iterator[Diagnostic]:
-    threshold = ctx.config.rare_event_threshold
+    threshold = RARE_EVENT_THRESHOLD
     bound = ctx.bounds.top
     if bound.lo <= threshold:
         return
@@ -144,8 +146,9 @@ def check_bounds_refute_rare_event(ctx: LintContext) -> Iterator[Diagnostic]:
         f"single event exceeds it; the breach is emergent from the "
         f"structure and a rare-event cutset sum will over-count badly",
         path=(ctx.tree.top,),
-        hint="prefer the exact BDD engine (--static-engine bdd) or read "
-        "cutset results as loose upper bounds only",
+        hint="a static model is served the exact BDD value (raise "
+        "--bdd-node-budget if the run fell back to cutsets); otherwise "
+        "read cutset results as loose upper bounds only",
     )
 
 

@@ -195,7 +195,6 @@ def _recheck_sample(
                 cache=QuantificationCache(),
                 epsilon=opts.epsilon,
                 max_chain_states=opts.max_chain_states,
-                on_oversize="raise",
                 lump_chains=opts.lump_chains,
             )
         except (NumericalError, AnalysisError) as error:

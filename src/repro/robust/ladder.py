@@ -13,8 +13,13 @@ cheaper strategies, in order:
    (:mod:`repro.ctmc.lumping`) — smaller and often better conditioned;
 3. ``bound``   — the conservative interval of
    :mod:`repro.core.bounds` (the paper's Section VIII approximation),
-   one tiny single-chain solve per dynamic event — the same record
-   ``on_oversize="bounds"`` serves.
+   one tiny single-chain solve per dynamic event.
+
+An oversized chain (:class:`~repro.errors.ChainTooLargeError`) skips
+the lumped rung: lumping reduces a *built* chain, and this one cannot
+be built under the same cap.  It lands on the bound rung after one
+failed attempt — the paper's interval approximation for chains over
+``max_chain_states``, served under ``fault_isolation``.
 
 Every rung serves a provable answer: the two solver rungs an exact
 value, the bound rung an interval that contains it.  Every descent is
@@ -37,7 +42,7 @@ from repro.core.quantify import (
     quantify_model,
 )
 from repro.core.sdft import SdFaultTree
-from repro.errors import AnalysisError, NumericalError
+from repro.errors import AnalysisError, ChainTooLargeError, NumericalError
 from repro.robust.budget import Budget
 
 if TYPE_CHECKING:
@@ -115,7 +120,6 @@ def quantify_with_ladder(
             cache,
             epsilon,
             max_chain_states,
-            on_oversize="raise",
             lump_chains=lumped,
             budget=budget,
             obs=obs,
@@ -123,16 +127,18 @@ def quantify_with_ladder(
 
     # Rung 1: the solve as configured.
     first_rung = "lumped" if lump_chains else "exact"
+    oversized = False
     try:
         record = _exact(lump_chains)
         return _outcome(record, record.rung)
     except _RECOVERABLE as error:
         attempts.append(LadderAttempt(first_rung, str(error)))
+        oversized = isinstance(error, ChainTooLargeError)
 
     # Rung 2: retry on the exactly-lumped chain (skip if rung 1 already
-    # lumped).  Helps with numerical trouble and state budgets; an
-    # oversized product fails here too and falls through.
-    if not lump_chains:
+    # lumped, or could not build the chain lumping would reduce).
+    # Helps with numerical trouble and state budgets.
+    if not (lump_chains or oversized):
         try:
             record = _exact(True)
             return _outcome(record, "lumped")

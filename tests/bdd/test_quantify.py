@@ -81,12 +81,10 @@ class TestQuantifyStaticTree:
     def test_modular_matches_monolithic(self, factory):
         tree = factory(0.01)
         modular = quantify_static_tree(tree)
-        monolithic = quantify_static_tree(tree, use_modules=False)
-        assert math.isclose(
-            modular.probability, monolithic.probability, rel_tol=1e-12
-        )
+        first = ORDERINGS[AUTO_CANDIDATES[0]]
+        monolithic = compile_tree(tree, first(tree)).probability()
+        assert math.isclose(modular.probability, monolithic, rel_tol=1e-12)
         assert modular.n_modules > 0
-        assert monolithic.n_modules == 0
 
     def test_matches_plain_exact_probability(self):
         tree = _cooling_tree()
@@ -98,15 +96,12 @@ class TestQuantifyStaticTree:
     def test_budget_propagates_when_all_orderings_trip(self):
         tree = _cooling_tree()
         with pytest.raises(BddBudgetExceeded):
-            quantify_static_tree(tree, node_budget=3, use_modules=False)
+            quantify_static_tree(tree, node_budget=3)
 
-    def test_unknown_ordering_rejected(self):
-        with pytest.raises(ValueError, match="unknown BDD ordering"):
-            quantify_static_tree(_cooling_tree(), ordering="sorcery")
-
-    def test_named_ordering_is_honoured(self):
-        q = quantify_static_tree(_cooling_tree(), ordering="weight")
-        assert q.ordering == "weight"
+    def test_reported_ordering_is_the_first_candidate_that_fits(self):
+        q = quantify_static_tree(_cooling_tree())
+        assert q.ordering == AUTO_CANDIDATES[0]
+        assert q.module_orderings == ()
 
 
 class TestExactnessAgainstInclusionExclusion:

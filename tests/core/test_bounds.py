@@ -1,5 +1,6 @@
 """Tests of the interval fallback for oversized cutset chains."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,10 +8,11 @@ import pytest
 from repro.core.analyzer import AnalysisOptions, analyze, analyze_exact
 from repro.core.bounds import ProbabilityInterval, bound_cutset
 from repro.core.cutset_model import build_cutset_model
-from repro.core.quantify import quantify_cutset
+from repro.core.quantify import bound_record, quantify_cutset
 from repro.core.sdft import SdFaultTreeBuilder
 from repro.ctmc.builders import repairable, triggered_repairable
-from repro.errors import AnalysisError
+from repro.errors import ChainTooLargeError
+from repro.robust.ladder import quantify_with_ladder
 
 
 class TestProbabilityInterval:
@@ -86,13 +88,17 @@ class TestOversizeFallback:
 
     def test_raise_mode_propagates(self):
         sdft, cutset = self._wide_model()
-        with pytest.raises(AnalysisError):
+        with pytest.raises(ChainTooLargeError):
             quantify_cutset(sdft, cutset, 24.0, max_chain_states=4)
 
     def test_bounds_mode_returns_interval(self):
         sdft, cutset = self._wide_model()
-        record = quantify_cutset(
-            sdft, cutset, 24.0, max_chain_states=4, on_oversize="bounds"
+        outcome = quantify_with_ladder(sdft, cutset, 24.0, max_chain_states=4)
+        record = outcome.record
+        assert [a.rung for a in outcome.attempts] == ["exact"]
+        bound = bound_record(build_cutset_model(sdft, cutset), 24.0)
+        assert record == dataclasses.replace(
+            bound, solve_seconds=record.solve_seconds
         )
         assert record.bounded
         assert record.lower_bound is not None
@@ -101,17 +107,11 @@ class TestOversizeFallback:
         exact = quantify_cutset(sdft, cutset, 24.0)
         assert record.lower_bound <= exact.probability <= record.probability
 
-    def test_unknown_mode_rejected(self, cooling_sdft):
-        with pytest.raises(ValueError):
-            quantify_cutset(
-                cooling_sdft, frozenset({"b", "d"}), 24.0, on_oversize="guess"
-            )
-
     def test_analyzer_interval(self, cooling_sdft):
         """With a tiny chain budget the analyzer still completes and
         reports a bracketing interval."""
         options = AnalysisOptions(
-            horizon=24.0, max_chain_states=3, on_oversize="bounds"
+            horizon=24.0, max_chain_states=3, fault_isolation=True
         )
         result = analyze(cooling_sdft, options)
         assert result.n_bounded_cutsets >= 1

@@ -8,9 +8,7 @@ from repro.core.analyzer import AnalysisOptions
 @pytest.mark.parametrize(
     ("knob", "value", "message"),
     [
-        ("static_engine", "quantum", "static_engine"),
         ("verify", "always", "verify mode"),
-        ("on_oversize", "guess", "on_oversize"),
         ("jobs", 0, "jobs"),
         ("jobs", "many", "invalid literal"),
         ("cutoff", -1.0, "cutoff"),
@@ -34,4 +32,4 @@ def test_defaults_and_documented_choices_are_accepted():
     AnalysisOptions()
     for mode in ("off", "cheap", "full"):
         AnalysisOptions(verify=mode)
-    AnalysisOptions(jobs="auto", cutoff=0.0, on_oversize="bounds")
+    AnalysisOptions(jobs="auto", cutoff=0.0, fault_isolation=True)

@@ -1,4 +1,4 @@
-"""Static-engine selection: BDD-exact serving, fallbacks, overshoot fix."""
+"""Static quantification: BDD-exact serving, fallbacks, overshoot fix."""
 
 from __future__ import annotations
 
@@ -14,9 +14,10 @@ from repro.core.to_static import to_static
 from repro.ft.builder import FaultTreeBuilder
 from repro.ft.mocus import MocusOptions, mocus
 from repro.models.bwr import BwrConfig, build_bwr
-from repro.service.session import assert_bit_identical
 
 HORIZON = 24.0
+#: A BDD node budget every static test tree trips: the cutset path.
+TRIPPED = 2
 
 
 def _static_sdft(tree) -> SdFaultTree:
@@ -75,7 +76,7 @@ class TestBddEngine:
     def test_mcs_engine_keeps_the_classical_path(self):
         result = analyze(
             _static_sdft(_cooling()),
-            AnalysisOptions(horizon=HORIZON, static_engine="mcs"),
+            AnalysisOptions(horizon=HORIZON, bdd_node_budget=TRIPPED),
         )
         assert result.method == "mcs-rare-event"
         assert result.bdd_nodes == 0
@@ -83,8 +84,9 @@ class TestBddEngine:
 
     def test_engines_agree_within_rare_event_error(self):
         sdft = _static_sdft(_cooling())
-        bdd = analyze(sdft, AnalysisOptions(horizon=HORIZON, static_engine="bdd"))
-        mcs = analyze(sdft, AnalysisOptions(horizon=HORIZON, static_engine="mcs"))
+        bdd = analyze(sdft, AnalysisOptions(horizon=HORIZON))
+        mcs = analyze(sdft, AnalysisOptions(horizon=HORIZON, bdd_node_budget=TRIPPED))
+        assert (bdd.method, mcs.method) == ("bdd-exact", "mcs-rare-event")
         # rare-event sum >= exact >= largest single cutset
         assert mcs.failure_probability >= bdd.failure_probability - 1e-12
         assert math.isclose(
@@ -103,7 +105,7 @@ class TestBddEngine:
     def test_budget_trip_falls_back_to_cutsets(self):
         result = analyze(
             _static_sdft(_cooling()),
-            AnalysisOptions(horizon=HORIZON, bdd_node_budget=2),
+            AnalysisOptions(horizon=HORIZON, bdd_node_budget=TRIPPED),
         )
         assert result.method == "mcs-rare-event"
         assert any(
@@ -117,13 +119,6 @@ class TestBddEngine:
         result = analyze(cooling_sdft, AnalysisOptions(horizon=HORIZON))
         assert result.method == "mcs-rare-event"
         assert result.bdd_nodes == 0
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="static_engine"):
-            analyze(
-                _static_sdft(_cooling()),
-                AnalysisOptions(horizon=HORIZON, static_engine="quantum"),
-            )
 
     def test_verify_cheap_passes_on_the_exact_path(self):
         result = analyze(
@@ -139,7 +134,7 @@ class TestOvershootFix:
         """The soundness bugfix: the served value can no longer exceed 1."""
         result = analyze(
             _static_sdft(_overshoot()),
-            AnalysisOptions(horizon=HORIZON, static_engine="mcs"),
+            AnalysisOptions(horizon=HORIZON, bdd_node_budget=TRIPPED),
         )
         assert result.method == "mcs-min-cut-ub"
         assert result.rare_event_sum == pytest.approx(1.8)
@@ -152,7 +147,7 @@ class TestOvershootFix:
     def test_overshoot_summary_names_the_estimator(self):
         result = analyze(
             _static_sdft(_overshoot()),
-            AnalysisOptions(horizon=HORIZON, static_engine="mcs"),
+            AnalysisOptions(horizon=HORIZON, bdd_node_budget=TRIPPED),
         )
         summary = result.summary()
         assert "mcs-min-cut-ub" in summary
@@ -167,11 +162,11 @@ class TestOvershootFix:
 
     def test_verify_accepts_the_served_bound(self):
         """P1 on the served value passes even though the raw sum is 1.8."""
-        for engine in ("mcs", "auto"):
+        for budget in (TRIPPED, 200_000):
             result = analyze(
                 _static_sdft(_overshoot()),
                 AnalysisOptions(
-                    horizon=HORIZON, static_engine=engine, verify="cheap"
+                    horizon=HORIZON, bdd_node_budget=budget, verify="cheap"
                 ),
             )
             assert result.failure_probability <= 1.0
@@ -179,7 +174,7 @@ class TestOvershootFix:
     def test_overshoot_interval_brackets_the_serve(self):
         result = analyze(
             _static_sdft(_overshoot()),
-            AnalysisOptions(horizon=HORIZON, static_engine="mcs"),
+            AnalysisOptions(horizon=HORIZON, bdd_node_budget=TRIPPED),
         )
         lower, upper = result.failure_probability_interval()
         assert lower <= result.failure_probability <= upper
@@ -192,7 +187,7 @@ class TestRecordsCacheRoundTrip:
     def test_method_survives_the_records_layer(self, tmp_path):
         sdft = _static_sdft(_overshoot())
         opts = AnalysisOptions(
-            horizon=HORIZON, static_engine="mcs", cache_dir=str(tmp_path)
+            horizon=HORIZON, bdd_node_budget=TRIPPED, cache_dir=str(tmp_path)
         )
         first = analyze(sdft, opts)
         second = analyze(sdft, opts)
@@ -211,23 +206,3 @@ class TestRecordsCacheRoundTrip:
         assert second.failure_probability == first.failure_probability
         assert second.bdd_nodes == first.bdd_nodes
         assert second.bdd_ordering == first.bdd_ordering
-
-    def test_auto_and_bdd_share_a_record_set(self, tmp_path):
-        """``"auto"`` and ``"bdd"`` run the same code, so one answers both."""
-        sdft = build_bwr(BwrConfig(dynamic=False))
-        first = analyze(
-            sdft,
-            AnalysisOptions(
-                horizon=HORIZON, static_engine="auto", cache_dir=str(tmp_path)
-            ),
-        )
-        second = analyze(
-            sdft,
-            AnalysisOptions(
-                horizon=HORIZON, static_engine="bdd", cache_dir=str(tmp_path)
-            ),
-        )
-        assert any(
-            "full-result hit" in e.message for e in second.health.events
-        )
-        assert_bit_identical(second, first)

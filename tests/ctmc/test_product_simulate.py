@@ -1,11 +1,15 @@
 """Tests of the exact product-chain semantics and the crude simulator."""
 
+import time
+
 import pytest
 
+from repro.core.analyzer import analyze_exact
 from repro.ctmc.product import SdSemantics, build_product
 from repro.ctmc.rare import estimate_failure_probability
 from repro.ctmc.transient import reach_probability
-from repro.errors import AnalysisError
+from repro.errors import ChainTooLargeError
+from repro.models.bwr import build_bwr
 
 
 class TestSemantics:
@@ -80,8 +84,16 @@ class TestProductChain:
             assert product.semantics.is_consistent(target)
 
     def test_max_states_guard(self, cooling_sdft):
-        with pytest.raises(AnalysisError):
+        with pytest.raises(ChainTooLargeError):
             build_product(cooling_sdft, max_states=3)
+
+    def test_max_states_guard_precedes_initial_enumeration(self):
+        """BWR's 67 static events alone give 2^67 initial combinations."""
+        model = build_bwr()
+        started = time.perf_counter()
+        with pytest.raises(ChainTooLargeError):
+            analyze_exact(model, 24.0, max_states=1000)
+        assert time.perf_counter() - started < 1.0
 
     def test_known_failure_probability(self, cooling_sdft):
         """Regression pin of the exact value (validated against the

@@ -4,11 +4,11 @@ import math
 
 import pytest
 
+from repro.bdd import exact_probability
 from repro.errors import InvalidProbabilityError, ModelError, UnknownNodeError
 from repro.ft.builder import FaultTreeBuilder
 from repro.ft.ccf import alpha_factor_group, apply_ccf, beta_factor_group
 from repro.ft.mocus import MocusOptions, mocus
-from repro.ft.probability import exact_probability
 
 
 def _two_pump_tree():
@@ -73,9 +73,9 @@ class TestApplyCcf:
 
     def test_ccf_dominates_double_failure(self):
         tree = _two_pump_tree()
-        without = exact_probability(tree).value  # 1e-6
+        without = exact_probability(tree)  # 1e-6
         group = beta_factor_group("G", ["p1", "p2"], 1e-3, beta=0.1)
-        with_ccf = exact_probability(apply_ccf(tree, [group])).value
+        with_ccf = exact_probability(apply_ccf(tree, [group]))
         # The common-cause term contributes ~1e-4, dwarfing 1e-6.
         assert with_ccf > 50 * without
         assert math.isclose(with_ccf, 1e-4, rel_tol=0.05)

@@ -18,13 +18,11 @@ class TestRareEventDegraded:  # SD201
     def test_large_probability_is_flagged(self):
         findings = findings_for(_two_event_top(0.5), "SD201")
         assert [d.node for d in findings] == ["a"]
-
-    def test_threshold_is_configurable(self):
-        assert "SD201" in codes_of(_two_event_top(0.08), rare_event_threshold=0.05)
-        assert "SD201" not in codes_of(_two_event_top(0.08))
+        assert "SD201" in codes_of(_two_event_top(0.15))
 
     def test_small_probability_is_fine(self):
         assert "SD201" not in codes_of(_two_event_top(0.05))
+        assert "SD201" not in codes_of(_two_event_top(0.08))
 
     def test_certain_event_is_sd202_not_sd201(self):
         codes = codes_of(_two_event_top(1.0))

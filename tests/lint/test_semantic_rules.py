@@ -154,10 +154,9 @@ class TestRegistryIntegration:
         codes = {r.code for r in all_rules()}
         assert {f"SD50{i}" for i in range(1, 8)} <= codes
 
-    def test_lint_survives_a_tiny_sem_budget(self):
+    def test_lint_survives_a_tiny_sem_budget(self, monkeypatch):
         # With a node budget too small to compile anything, the BDD-backed
         # rules must skip silently — lint never raises.
-        from repro.lint import LintConfig
-
-        report = lint(vacuous_model(), LintConfig(sem_node_budget=1))
+        monkeypatch.setattr("repro.lint.context.SEM_NODE_BUDGET", 1)
+        report = lint(vacuous_model())
         assert "SD503" not in report.codes()

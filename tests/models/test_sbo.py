@@ -44,13 +44,20 @@ class TestThreeWayValidation:
         assert result.failure_probability <= 1.3 * exact
 
     def test_simulation_agrees(self):
-        sdft = build_sbo()
-        exact = analyze_exact(sdft, OPTIONS.horizon)
-        simulated = estimate_failure_probability(
-            sdft, OPTIONS.horizon, engine="crude", max_runs=40_000, seed=99
-        )
-        lower, upper = simulated.interval()
-        assert lower <= exact <= upper
+        # At the default rates crude sees almost no failures in 40,000
+        # runs, so its band is wide; with likelier start failures it sees
+        # ~170 and the band must exclude half and twice the exact value.
+        unreliable = SboConfig(edg_fail_to_start=0.1, tdp_fail_to_start=0.2)
+        for config in (SboConfig(), unreliable):
+            sdft = build_sbo(config)
+            exact = analyze_exact(sdft, OPTIONS.horizon)
+            simulated = estimate_failure_probability(
+                sdft, OPTIONS.horizon, engine="crude", max_runs=40_000, seed=99
+            )
+            lower, upper = simulated.interval()
+            assert lower <= exact <= upper
+        assert simulated.n_failures >= 100
+        assert 0.5 * exact < lower and upper < 2.0 * exact
 
     def test_static_analysis_overshoots_most(self):
         """The static view cannot see the grid recovering or the

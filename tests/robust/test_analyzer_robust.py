@@ -65,12 +65,19 @@ def test_chain_build_fault_degrades_not_crashes(cooling_sdft, clean):
 
 def test_oversized_chains_degrade_not_crash(cooling_sdft, clean):
     # A real (non-injected) failure mode: every product chain exceeds the
-    # per-cutset state guard, so both solver rungs fail structurally.
+    # per-cutset state guard.  Lumping cannot shrink a chain that cannot
+    # be built, so each such cutset fails once (exact) and is bounded.
     result = analyze(
         cooling_sdft,
         AnalysisOptions(horizon=HORIZON, fault_isolation=True, max_chain_states=1),
     )
     _assert_degraded_but_bracketing(result, clean)
+    bounded = {r.cutset for r in result.records if r.rung == "bound"}
+    assert bounded
+    retries = [(frozenset(e.cutset), e.rung) for e in result.health.retries]
+    assert sorted(retries, key=str) == sorted(
+        ((cutset, "exact") for cutset in bounded), key=str
+    )
 
 
 def test_mocus_budget_yields_truncated_result(cooling_sdft, clean):

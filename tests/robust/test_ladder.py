@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.analyzer import AnalysisOptions, analyze
-from repro.core.quantify import quantify_cutset
+from repro.core.cutset_model import build_cutset_model
+from repro.core.quantify import bound_record, quantify_cutset
 from repro.errors import NumericalError
 from repro.robust import faults
 from repro.robust.budget import Budget
@@ -64,14 +65,17 @@ def test_persistent_solver_failure_lands_on_the_bound_rung(
 
 
 def test_bound_rung_serves_the_oversize_record(cooling_sdft):
-    """The ladder's last rung is the §VIII record ``on_oversize`` serves."""
+    """The ladder's last rung is the §VIII record an oversized chain gets."""
     with faults.inject("transient_solve", NumericalError("forced")):
         outcome = quantify_with_ladder(cooling_sdft, CUTSET, HORIZON)
-    oversize = quantify_cutset(
-        cooling_sdft, CUTSET, HORIZON, max_chain_states=1, on_oversize="bounds"
+    oversize = quantify_with_ladder(
+        cooling_sdft, CUTSET, HORIZON, max_chain_states=1
     )
+    # An unbuildable chain skips the lumped rung: one failed attempt.
+    assert [a.rung for a in oversize.attempts] == ["exact"]
+    bound = bound_record(build_cutset_model(cooling_sdft, CUTSET), HORIZON)
     strip = lambda r: dataclasses.replace(r, solve_seconds=0.0)  # noqa: E731
-    assert strip(outcome.record) == strip(oversize)
+    assert strip(outcome.record) == strip(oversize.record) == strip(bound)
 
 
 def test_everything_failing_lands_on_the_bound_rung(cooling_sdft, clean_value):

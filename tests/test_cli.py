@@ -141,8 +141,8 @@ class TestAnalyzeFlags:
         assert main(["analyze", sd_model_file, "--lump"]) == 0
         assert "failure probability" in capsys.readouterr().out
 
-    def test_bounds_flag(self, sd_model_file, capsys):
-        assert main(["analyze", sd_model_file, "--bounds"]) == 0
+    def test_degrade_flag(self, sd_model_file, capsys):
+        assert main(["analyze", sd_model_file, "--degrade"]) == 0
         assert "failure probability" in capsys.readouterr().out
 
 
