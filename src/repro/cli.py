@@ -72,15 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "solved once on a process pool (default 1 = serial)",
     )
     analyze_cmd.add_argument(
-        "--lump",
-        action="store_true",
-        help="reduce per-cutset chains by exact lumping before solving",
-    )
-    analyze_cmd.add_argument(
         "--degrade",
         action="store_true",
         help="per-cutset fault isolation: retry failing cutsets down the "
-        "degradation ladder (exact -> lumped -> bound) "
+        "degradation ladder (exact -> bound) "
         "instead of aborting the run; oversized chains are bounded",
     )
     analyze_cmd.add_argument(
@@ -492,7 +487,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         cutoff=args.cutoff,
         lint=getattr(args, "lint", False),
         simplify=getattr(args, "simplify", False),
-        lump_chains=getattr(args, "lump", False),
         fault_isolation=args.degrade,
         wall_seconds=args.wall_seconds,
         max_total_states=args.max_total_states,

@@ -42,6 +42,7 @@ from repro.errors import (
     InvariantViolation,
     NumericalError,
 )
+from repro.ft.cutsets import cutset_probability
 from repro.ft.mocus import MocusOptions, MocusResult, mocus
 from repro.obs.core import Observability
 from repro.robust import faults
@@ -81,9 +82,7 @@ class AnalysisOptions:
     oversized chain fails the run, or under ``fault_isolation`` is
     answered by the interval approximation of the paper's Section VIII
     (the cutset contributes its conservative upper bound and the result
-    reports the interval).  ``lump_chains`` reduces every per-cutset
-    chain by exact ordinary lumping before solving (symmetric
-    redundancy collapses).
+    reports the interval).
 
     Static quantification (:mod:`repro.bdd`): a *static* (trigger-free,
     no dynamic events) model's top probability is served exactly by
@@ -110,10 +109,10 @@ class AnalysisOptions:
 
     * ``fault_isolation`` — a failure quantifying one cutset no longer
       aborts the run; the degradation ladder
-      (:mod:`repro.robust.ladder`) retries that cutset down
-      exact → lumped → conservative §VIII bound, widening the result
-      into a provable interval and recording every descent in the
-      run-health report.
+      (:mod:`repro.robust.ladder`) answers that cutset by the
+      conservative §VIII bound instead, widening the result into a
+      provable interval and recording every descent in the run-health
+      report.
     * ``wall_seconds`` / ``max_total_states`` / ``budget_cutsets`` — a
       cooperative :class:`~repro.robust.budget.Budget`; running out
       yields a *partial* result whose interval is widened by a
@@ -217,7 +216,6 @@ class AnalysisOptions:
     simplify: bool = False
     max_chain_states: int = 200_000
     max_partials: int = 20_000_000
-    lump_chains: bool = False
     mocus_probability_overrides: "dict[str, float] | None" = None
     fault_isolation: bool = False
     wall_seconds: float | None = None
@@ -334,12 +332,6 @@ def derived_run_options(opts: AnalysisOptions) -> AnalysisOptions:
     return replace(opts, trace_path=None, checkpoint_path=None, resume=False)
 
 
-#: Rungs whose records a later run may reuse.  Skipped and ladder-bound
-#: records are products of one run's budget pressure or faults: a fresh
-#: run would do better.
-_REUSABLE_RUNGS = ("exact", "lumped")
-
-
 def reusable_records(
     model: SdFaultTree,
     base: SdFaultTree,
@@ -352,9 +344,11 @@ def reusable_records(
     the cutset's own events and every event its ``FT_C`` reads through
     a trigger gate.  With the gate/trigger skeleton unchanged and no
     changed event among them, re-quantifying would rebuild the
-    identical ``FT_C`` and produce the identical value.  Any structural
-    edit invalidates every record.  Horizon, cutoff and solver options
-    are the caller's to hold fixed between the two runs.
+    identical ``FT_C`` and produce the identical value.  Only exact
+    records qualify: skipped and ladder-bound records are products of
+    one run's budget pressure or faults, which a fresh run would beat.
+    Any structural edit invalidates every record.  Horizon, cutoff and
+    solver options are the caller's to hold fixed between the two runs.
     """
     if _skeleton(model) != _skeleton(base):
         return {}
@@ -362,7 +356,7 @@ def reusable_records(
     return {
         record.cutset: record
         for record in records
-        if record.rung in _REUSABLE_RUNGS
+        if record.rung == "exact"
         and record.dependencies
         and not dirty.intersection(record.dependencies)
     }
@@ -634,7 +628,6 @@ def _records_options_key(opts: AnalysisOptions) -> tuple:
         repr(opts.epsilon),
         opts.max_chain_states,
         opts.max_partials,
-        opts.lump_chains,
         overrides,
         opts.fault_isolation,
         opts.bdd_node_budget,
@@ -1329,7 +1322,6 @@ class _QuantifyContext:
                 cache=run.cache,
                 epsilon=opts.epsilon,
                 max_chain_states=opts.max_chain_states,
-                lump_chains=opts.lump_chains,
                 budget=run.budget,
                 obs=run.obs if run.obs.enabled else None,
                 model=model,
@@ -1357,7 +1349,6 @@ class _QuantifyContext:
             run.cache,
             opts.epsilon,
             opts.max_chain_states,
-            opts.lump_chains,
             run.budget,
             run.obs,
         )
@@ -1366,12 +1357,14 @@ class _QuantifyContext:
         """The static worst-case ``p̄(C)`` — inequality (1)'s upper bound.
 
         Computed from the *translation* tree (never the MOCUS override
-        probabilities), so it soundly dominates ``p̃(C)``.
+        probabilities), so it soundly dominates ``p̃(C)``; multiplied in
+        :func:`~repro.ft.cutsets.cutset_probability`'s sorted order, so
+        the value does not depend on the set's hash order.
         """
-        probability = 1.0
-        for name in cutset:
-            probability *= self.run.translation.tree.events[name].probability
-        return probability
+        events = self.run.translation.tree.events
+        return cutset_probability(
+            cutset, {name: events[name].probability for name in cutset}
+        )
 
     def _skipped(self, cutset: frozenset) -> McsQuantification:
         """A conservative placeholder carrying the static worst case."""
@@ -1409,7 +1402,7 @@ class _Farm:
         run = ctx.run
         opts, budget, cache = run.opts, run.budget, run.cache
         self.run = run
-        self.knobs = (opts.epsilon, opts.max_chain_states, opts.lump_chains)
+        self.knobs = (opts.epsilon, opts.max_chain_states)
         self.models: dict[int, CutsetModel] = {}
         self.keys: dict[int, tuple] = {}
         self.worker_faults = 0
@@ -1453,7 +1446,6 @@ class _Farm:
                 horizon=opts.horizon,
                 epsilon=opts.epsilon,
                 max_chain_states=opts.max_chain_states,
-                lump_chains=opts.lump_chains,
                 cutset=tuple(sorted(model.cutset)),
                 wall_allowance=wall_allowance,
                 state_allowance=state_allowance,
@@ -1581,7 +1573,7 @@ def analyze_curve(
     """Failure probability as a function of the mission time.
 
     Each point is what :func:`analyze` serves at that horizon — same
-    verification, lumping, served method and MCUB rules — for a cutset
+    verification, served method and MCUB rules — for a cutset
     list shared across horizons: MOCUS runs once, at the widest
     horizon, where the worst-case probabilities (monotone in ``t``) are
     largest, so its family holds every cutset above the cutoff at any

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.cutset_model import CutsetModel, build_cutset_model
 from repro.core.sdft import SdFaultTree
-from repro.ctmc.lumping import lump
 from repro.ctmc.product import build_product
 from repro.ctmc.transient import reach_probability
 from repro.obs.core import NULL_OBS
@@ -72,8 +71,8 @@ class McsQuantification:
     lower_bound: float | None = None
     #: Degradation-ladder rung that produced the value: ``"exact"`` for
     #: the full transient solve (also static/trivial cutsets),
-    #: ``"lumped"``, ``"bound"``, or ``"skipped"``
-    #: (budget ran out; value is the conservative static bound).
+    #: ``"bound"``, or ``"skipped"`` (budget ran out; value is the
+    #: conservative static bound).
     rung: str = "exact"
     #: Names of every basic event whose content the value reads (see
     #: :attr:`repro.core.cutset_model.CutsetModel.dependencies`).  The
@@ -139,7 +138,7 @@ class QuantificationCache:
     ) -> None:
         """Hold a value a pool worker solved under ``knobs``.
 
-        ``knobs`` is ``(epsilon, max_chain_states, lump_chains)``.  The
+        ``knobs`` is ``(epsilon, max_chain_states)``.  The
         value is written through to the disk layer; the run's counters
         and budget are charged only when :func:`quantify_model` takes it.
         """
@@ -171,7 +170,6 @@ def quantify_cutset(
     cache: QuantificationCache | None = None,
     epsilon: float = 1e-12,
     max_chain_states: int = 200_000,
-    lump_chains: bool = False,
     budget: "Budget | None" = None,
     obs: "Observability | None" = None,
 ) -> McsQuantification:
@@ -196,7 +194,6 @@ def quantify_cutset(
         cache,
         epsilon,
         max_chain_states,
-        lump_chains,
         budget,
         obs,
     )
@@ -208,16 +205,10 @@ def quantify_model(
     cache: QuantificationCache | None = None,
     epsilon: float = 1e-12,
     max_chain_states: int = 200_000,
-    lump_chains: bool = False,
     budget: "Budget | None" = None,
     obs: "Observability | None" = None,
 ) -> McsQuantification:
     """Quantify an already-built cutset model.
-
-    With ``lump_chains`` the product chain is reduced by exact ordinary
-    lumping (:mod:`repro.ctmc.lumping`) before the transient solve —
-    symmetric redundant components then collapse into counters.  The
-    reported ``chain_states`` is the size actually solved.
 
     When tracing is enabled (``obs``), each *actual* solve — a cache
     miss on a dynamic model — records a ``quantify.solve`` span with
@@ -239,15 +230,12 @@ def quantify_model(
             dependencies=model.dependencies,
         )
 
-    rung = "lumped" if lump_chains else "exact"
     key = cache.signature(model.model, horizon) if cache is not None else None
     if key is not None:
         found = cache.get(key)
         if found is not None:
-            return _dynamic_record(
-                model, found[0], found[1], 0.0, rung, cache_hit=True
-            )
-        solved = cache.solved(key, (epsilon, max_chain_states, lump_chains))
+            return _dynamic_record(model, found[0], found[1], 0.0, cache_hit=True)
+        solved = cache.solved(key, (epsilon, max_chain_states))
         if solved is not None:
             # A pool worker or a prior run (disk) already solved this
             # exact model under these exact solver knobs.  Keep the
@@ -258,7 +246,7 @@ def quantify_model(
             if budget is not None:
                 budget.charge_states(solved_states, "quantify")
             cache.put(key, probability, solved_states)
-            return _dynamic_record(model, probability, solved_states, seconds, rung)
+            return _dynamic_record(model, probability, solved_states, seconds)
 
     obs = obs if obs is not None else NULL_OBS
     started = time.perf_counter()
@@ -267,61 +255,43 @@ def quantify_model(
     ) as span:
         faults.check("chain_build", cutset=model.cutset)
         product = build_product(model.model, max_states=max_chain_states)
-        dynamic_probability, solved_states = solve_product(
-            product,
-            horizon,
-            epsilon,
-            lump_chains,
-            budget,
-            obs.metrics,
-            model.cutset,
+        dynamic_probability = solve_product(
+            product, horizon, epsilon, budget, obs.metrics, model.cutset
         )
+        solved_states = product.n_states
         span.set(chain_states=solved_states, probability=dynamic_probability)
     elapsed = time.perf_counter() - started
     if key is not None:
         cache.put(key, dynamic_probability, solved_states)
         if cache.persistent is not None:
             cache.persistent.put_solve(
-                key,
-                epsilon,
-                max_chain_states,
-                lump_chains,
-                dynamic_probability,
-                solved_states,
+                key, epsilon, max_chain_states, dynamic_probability, solved_states
             )
-    return _dynamic_record(model, dynamic_probability, solved_states, elapsed, rung)
+    return _dynamic_record(model, dynamic_probability, solved_states, elapsed)
 
 
 def solve_product(
     product: "ProductChain",
     horizon: float,
     epsilon: float,
-    lump_chains: bool,
     budget: "Budget | None",
     metrics: "MetricsRegistry | NullMetrics",
     cutset: frozenset[str],
-) -> tuple[float, int]:
-    """Solve a built product chain: ``(reach probability, states solved)``.
+) -> float:
+    """The reach probability of a built product chain.
 
     The one solve body shared by :func:`quantify_model` and the pool
-    worker (:func:`repro.perf.pool.solve_task`): optional lumping, the
-    budget charge, the transient solve and their fault-injection
-    checkpoints, in that order, so a fault trips identically on every
-    ``jobs`` setting.
+    worker (:func:`repro.perf.pool.solve_task`): the budget charge, the
+    transient solve and their fault-injection checkpoints, in that
+    order, so a fault trips identically on every ``jobs`` setting.
     """
-    chain = product.chain
-    solved_states = product.n_states
-    if lump_chains:
-        faults.check("lump", cutset=cutset)
-        chain = lump(chain.with_absorbing(chain.failed)).chain
-        solved_states = chain.n_states
     if budget is not None:
-        budget.charge_states(solved_states, "quantify")
+        budget.charge_states(product.n_states, "quantify")
     faults.check("transient_solve", cutset=cutset)
     probability = reach_probability(
-        chain, horizon, epsilon=epsilon, budget=budget, metrics=metrics
+        product.chain, horizon, epsilon=epsilon, budget=budget, metrics=metrics
     )
-    return faults.corrupt("solve_value", probability, cutset=cutset), solved_states
+    return faults.corrupt("solve_value", probability, cutset=cutset)
 
 
 def _dynamic_record(
@@ -329,7 +299,6 @@ def _dynamic_record(
     probability: float,
     chain_states: int,
     solve_seconds: float,
-    rung: str = "exact",
     cache_hit: bool = False,
     trivially_zero: bool = False,
 ) -> McsQuantification:
@@ -345,7 +314,6 @@ def _dynamic_record(
         solve_seconds,
         cache_hit=cache_hit,
         trivially_zero=trivially_zero,
-        rung=rung,
         dependencies=model.dependencies,
     )
 

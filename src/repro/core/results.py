@@ -202,7 +202,7 @@ class AnalysisResult:
 
     @property
     def n_degraded_cutsets(self) -> int:
-        """Cutsets answered below the exact/lumped rungs of the ladder."""
+        """Cutsets answered below the exact rung of the ladder."""
         return sum(1 for r in self.records if r.rung in ("bound", "skipped"))
 
     @property

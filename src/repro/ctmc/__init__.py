@@ -24,7 +24,6 @@ from repro.ctmc.builders import (
     triggered_repairable,
 )
 from repro.ctmc.chain import Ctmc
-from repro.ctmc.lumping import LumpedChain, lump
 from repro.ctmc.phase_type import PhaseFit, fit_failure_distribution
 from repro.ctmc.transient import (
     failure_probability,
@@ -37,7 +36,6 @@ from repro.ctmc.triggered import TriggeredCtmc
 
 __all__ = [
     "Ctmc",
-    "LumpedChain",
     "PhaseFit",
     "TriggeredCtmc",
     "erlang_failure",
@@ -46,7 +44,6 @@ __all__ = [
     "exponential_failure",
     "failure_probability",
     "fit_failure_distribution",
-    "lump",
     "mean_time_to_failure",
     "occupancy_integrals",
     "reach_probability",

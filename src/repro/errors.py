@@ -76,9 +76,8 @@ class ChainTooLargeError(AnalysisError):
     """A product chain would exceed its ``max_states`` cap.
 
     Raised by :func:`repro.ctmc.product.build_product`, before
-    enumeration when the initial states alone exceed the cap.  Lumping
-    cannot help (it runs on the built chain), so the degradation ladder
-    goes straight to its bound rung on this error.
+    enumeration when the initial states alone exceed the cap.  The
+    degradation ladder answers it on its bound rung.
     """
 
 

@@ -7,8 +7,8 @@ functions of *content* (chain fingerprints, tree structure, solver
 options), so they can be reused across processes and across days.  This
 module provides the on-disk store behind ``--cache-dir``:
 
-* **solve layer** — ``(model_signature, epsilon, max_chain_states,
-  lumped) -> (probability, chain_states)``, the per-unique-model
+* **solve layer** — ``(model_signature, epsilon, max_chain_states)
+  -> (probability, chain_states)``, the per-unique-model
   transient solve (:mod:`repro.perf.fingerprint` keys, the same ones
   the in-memory :class:`~repro.core.quantify.QuantificationCache` and
   the solver farm's dedup use);
@@ -287,12 +287,9 @@ class SolveCache:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _solve_key(
-        signature: tuple, epsilon: float, max_chain_states: int, lumped: bool
-    ) -> str:
+    def _solve_key(signature: tuple, epsilon: float, max_chain_states: int) -> str:
         return _digest(
-            ("solve", SCHEMA_VERSION, signature, epsilon, max_chain_states,
-             bool(lumped))
+            ("solve", SCHEMA_VERSION, signature, epsilon, max_chain_states)
         )
 
     def get_solve(
@@ -300,11 +297,10 @@ class SolveCache:
         signature: tuple,
         epsilon: float,
         max_chain_states: int,
-        lumped: bool,
     ) -> tuple[float, int] | None:
         """Cached ``(probability, chain_states)`` for one unique model."""
         payload = self._read(
-            "solve", self._solve_key(signature, epsilon, max_chain_states, lumped)
+            "solve", self._solve_key(signature, epsilon, max_chain_states)
         )
         if payload is not None:
             probability = payload.get("probability")
@@ -333,7 +329,6 @@ class SolveCache:
         signature: tuple,
         epsilon: float,
         max_chain_states: int,
-        lumped: bool,
         probability: float,
         chain_states: int,
     ) -> None:
@@ -346,7 +341,7 @@ class SolveCache:
             return  # never persist an implausible value
         self._write(
             "solve",
-            self._solve_key(signature, epsilon, max_chain_states, lumped),
+            self._solve_key(signature, epsilon, max_chain_states),
             {"probability": probability, "chain_states": int(chain_states)},
         )
 

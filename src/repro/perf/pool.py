@@ -107,7 +107,6 @@ class SolveTask:
     horizon: float
     epsilon: float
     max_chain_states: int
-    lump_chains: bool
     cutset: tuple[str, ...]
     wall_allowance: float | None = None
     state_allowance: int | None = None
@@ -215,16 +214,10 @@ def solve_task(task: SolveTask) -> SolveResult:
                 )
             faults.check("chain_build", cutset=cutset)
             product = build_product(model, max_states=task.max_chain_states)
-            probability, solved_states = solve_product(
-                product,
-                task.horizon,
-                task.epsilon,
-                task.lump_chains,
-                budget,
-                obs.metrics,
-                cutset,
+            probability = solve_product(
+                product, task.horizon, task.epsilon, budget, obs.metrics, cutset
             )
-            span.set(chain_states=solved_states, probability=probability)
+            span.set(chain_states=product.n_states, probability=probability)
     except BudgetExceededError as error:
         return _shipped(
             SolveResult(task.task_id, error=str(error), error_kind="budget")
@@ -249,7 +242,7 @@ def solve_task(task: SolveTask) -> SolveResult:
         SolveResult(
             task.task_id,
             probability=probability,
-            chain_states=solved_states,
+            chain_states=product.n_states,
             solve_seconds=time.perf_counter() - started,
         )
     )
@@ -495,10 +488,9 @@ def warm_farm(jobs: int, task_timeout: float | None = None) -> SolverFarm:
     a new one; a different ``task_timeout`` just updates the attribute
     (it sets the batch size and the watchdog deadline of the next run).
     Solver options never stale the pool: every :class:`SolveTask`
-    carries its own ``epsilon``, ``max_chain_states`` and
-    ``lump_chains``.  The farm's persistent pool is closed
-    automatically at interpreter exit; call :func:`shutdown_warm_farm`
-    for an explicit shutdown.
+    carries its own ``epsilon`` and ``max_chain_states``.  The farm's
+    persistent pool is closed automatically at interpreter exit; call
+    :func:`shutdown_warm_farm` for an explicit shutdown.
     """
     global _WARM_FARM
     if _WARM_FARM is not None and _WARM_FARM.jobs != jobs:

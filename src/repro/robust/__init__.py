@@ -9,7 +9,7 @@ pieces the analyzer threads together:
   cutset-count budgets raising a catchable
   :class:`~repro.errors.BudgetExceededError`;
 * :mod:`repro.robust.ladder` — the per-cutset degradation ladder
-  (full transient → lumped chain → conservative §VIII bound);
+  (full transient → conservative §VIII bound);
 * :mod:`repro.robust.checkpoint` — periodic snapshots of MOCUS frontier
   state and quantified records, enabling kill/resume;
 * :mod:`repro.robust.health` — the structured run-health report that

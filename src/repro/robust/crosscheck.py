@@ -26,7 +26,7 @@ numbers, applied to the pipeline's own internals:
    node budget can compile — there is no event-count ceiling.
 3. **Ladder-rung bracketing** — for sampled cutsets, the interval the
    ``bound`` rung would report must bracket the exact rung's value:
-   adjacent ladder rungs agree, so a degraded answer elsewhere in the
+   the two ladder rungs agree, so a degraded answer elsewhere in the
    run is trustworthy.
 4. **Rare-event statistical agreement** — a sampled exactly-quantified
    cutset is re-estimated through the rare-event Monte-Carlo engine
@@ -164,7 +164,7 @@ def _exact_candidates(
         if r.is_dynamic
         and not r.bounded
         and not r.trivially_zero
-        and r.rung in ("exact", "lumped")
+        and r.rung == "exact"
     ]
 
 
@@ -195,7 +195,6 @@ def _recheck_sample(
                 cache=QuantificationCache(),
                 epsilon=opts.epsilon,
                 max_chain_states=opts.max_chain_states,
-                lump_chains=opts.lump_chains,
             )
         except (NumericalError, AnalysisError) as error:
             # The re-solve itself failed (e.g. an armed fault is still
@@ -323,7 +322,7 @@ def _bdd_oracle(
 
 
 # ----------------------------------------------------------------------
-# 3. Adjacent ladder rungs bracket each other
+# 3. The two ladder rungs bracket each other
 # ----------------------------------------------------------------------
 
 

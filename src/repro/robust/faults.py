@@ -11,7 +11,6 @@ Stages wired into the pipeline:
 
 * ``"chain_build"``    — before building a cutset's product chain,
 * ``"transient_solve"`` — before the transient/first-passage solve,
-* ``"lump"``           — before lumping a chain,
 * ``"bound"``          — before the interval-bound fallback rung,
 * ``"mocus"``          — inside the MOCUS expansion loop (polled only
   when a fault is already armed as the search starts),

@@ -239,9 +239,9 @@ class Verifier:
 
         Checks P1 on the value (and the lower bound when present), P3 on
         bounded records, and P4 — worst-case dominance — on records the
-        exact or lumped rung produced.  P4 deliberately skips bounded
-        records: a §VIII bound may legitimately sit above the sharp
-        worst case, and it already carries its own bracket.
+        exact rung produced.  P4 deliberately skips bounded records: a
+        §VIII bound may legitimately sit above the sharp worst case, and
+        it already carries its own bracket.
         """
         if not self.enabled:
             return None
@@ -262,7 +262,7 @@ class Verifier:
             if (
                 worst_case is not None
                 and not record.bounded
-                and record.rung in ("exact", "lumped")
+                and record.rung == "exact"
             ):
                 slack = self.tolerance * max(1.0, worst_case)
                 if record.probability > worst_case + slack:

@@ -1,10 +1,8 @@
-"""Tests of exact lumping and the long-run/first-passage analytics."""
+"""Tests of the long-run and first-passage analytics of a CTMC."""
 
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.ctmc.analysis import (
     eventual_failure_probability,
@@ -13,83 +11,6 @@ from repro.ctmc.analysis import (
 )
 from repro.ctmc.builders import exponential_failure, repairable, static_chain
 from repro.ctmc.chain import Ctmc
-from repro.ctmc.lumping import lump
-from repro.ctmc.transient import reach_probability, transient_distribution
-
-from tests.strategies import small_ctmcs
-
-
-def _symmetric_pair(lam=0.05, mu=0.5):
-    """Two identical repairable components in parallel (AND failure)."""
-    states = [(a, b) for a in "wf" for b in "wf"]
-    rates = {}
-    for a in "wf":
-        for b in "wf":
-            if a == "w":
-                rates[((a, b), ("f", b))] = lam
-            else:
-                rates[((a, b), ("w", b))] = mu
-            if b == "w":
-                rates[((a, b), (a, "f"))] = rates.get(((a, b), (a, "f")), 0) + lam
-            else:
-                rates[((a, b), (a, "w"))] = rates.get(((a, b), (a, "w")), 0) + mu
-    return Ctmc(states, {("w", "w"): 1.0}, rates, [("f", "f")])
-
-
-class TestLumping:
-    def test_symmetric_pair_lumps_to_counter(self):
-        chain = _symmetric_pair()
-        lumped = lump(chain)
-        # (w,f) and (f,w) merge: 4 states -> 3 blocks.
-        assert len(lumped.blocks) == 3
-        assert lumped.reduction_factor == pytest.approx(4 / 3)
-
-    def test_lumping_preserves_reachability(self):
-        chain = _symmetric_pair()
-        lumped = lump(chain)
-        for t in (0.5, 5.0, 50.0):
-            assert reach_probability(lumped.chain, t) == pytest.approx(
-                reach_probability(chain, t), abs=1e-10
-            )
-
-    def test_lumping_preserves_transient_block_mass(self):
-        chain = _symmetric_pair()
-        lumped = lump(chain)
-        t = 3.0
-        original = transient_distribution(chain, t)
-        quotient = transient_distribution(lumped.chain, t)
-        for index, block in enumerate(lumped.blocks):
-            mass = sum(original[chain.index[s]] for s in block)
-            assert quotient[index] == pytest.approx(mass, abs=1e-9)
-
-    def test_asymmetric_chain_does_not_lump(self):
-        chain = Ctmc(
-            ["a", "b", "f"],
-            {"a": 1.0},
-            {("a", "f"): 0.1, ("b", "f"): 0.9},
-            ["f"],
-        )
-        lumped = lump(chain)
-        assert len(lumped.blocks) == 3  # different rates: no merge
-
-    def test_custom_partition_must_cover(self):
-        chain = _symmetric_pair()
-        with pytest.raises(ValueError):
-            lump(chain, initial_partition=[frozenset([("w", "w")])])
-
-    def test_custom_partition_must_respect_failed(self):
-        chain = _symmetric_pair()
-        everything = frozenset(chain.states)
-        with pytest.raises(ValueError):
-            lump(chain, initial_partition=[everything])
-
-    @given(small_ctmcs(max_states=5))
-    def test_lumping_is_exact_on_random_chains(self, chain):
-        lumped = lump(chain)
-        for t in (0.7, 4.0):
-            assert reach_probability(lumped.chain, t) == pytest.approx(
-                reach_probability(chain, t), abs=1e-8
-            )
 
 
 class TestMttf:

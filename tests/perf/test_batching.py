@@ -52,7 +52,6 @@ def make_tasks(sdft, n_min=6):
                     horizon=horizon,
                     epsilon=1e-12,
                     max_chain_states=200_000,
-                    lump_chains=False,
                     cutset=tuple(sorted(cutset)),
                     estimated_states=estimate_chain_states(model.model),
                 )
@@ -166,7 +165,6 @@ class TestModelTable:
                 horizon=task.horizon,
                 epsilon=task.epsilon,
                 max_chain_states=task.max_chain_states,
-                lump_chains=task.lump_chains,
                 cutset=task.cutset,
                 estimated_states=task.estimated_states,
                 model_index=index,
@@ -226,22 +224,24 @@ class TestWarmFarm:
         shutdown_warm_farm()
 
     def test_option_changes_reuse_the_warm_pool(self, cooling_sdft):
-        """Workers read ``epsilon``/``max_chain_states``/``lump_chains``
-        from each task, never from state inherited through the fork, so
-        one warm pool serves analyses whose options keep changing."""
+        """Workers read ``epsilon``/``max_chain_states`` from each task,
+        never from state inherited through the fork, so one warm pool
+        serves analyses whose options keep changing."""
         from tests.perf.test_parallel_analyzer import assert_identical
 
         shutdown_warm_farm()
         try:
             pools = set()
-            for epsilon, lump_chains in [
-                (1e-12, False),
-                (1e-9, True),
-                (1e-12, True),
-                (1e-9, False),
+            for epsilon, max_chain_states in [
+                (1e-12, 200_000),
+                (1e-9, 100),
+                (1e-12, 100),
+                (1e-9, 200_000),
             ]:
                 opts = AnalysisOptions(
-                    horizon=24.0, epsilon=epsilon, lump_chains=lump_chains
+                    horizon=24.0,
+                    epsilon=epsilon,
+                    max_chain_states=max_chain_states,
                 )
                 serial = analyze(cooling_sdft, opts)
                 parallel = analyze(cooling_sdft, replace(opts, jobs=2))

@@ -71,39 +71,38 @@ def build_cooling(rate_b=0.001):
 class TestSolveLayer:
     def test_roundtrip(self, tmp_path):
         cache = make_cache(tmp_path)
-        cache.put_solve(SIGNATURE, 1e-12, 200_000, False, 0.25, 17)
-        assert cache.get_solve(SIGNATURE, 1e-12, 200_000, False) == (0.25, 17)
+        cache.put_solve(SIGNATURE, 1e-12, 200_000, 0.25, 17)
+        assert cache.get_solve(SIGNATURE, 1e-12, 200_000) == (0.25, 17)
         assert cache.solve_hits == 1
         assert cache.solve_misses == 0
 
     def test_misses_on_any_key_component_change(self, tmp_path):
         cache = make_cache(tmp_path)
-        cache.put_solve(SIGNATURE, 1e-12, 200_000, False, 0.25, 17)
-        assert cache.get_solve(("other",), 1e-12, 200_000, False) is None
-        assert cache.get_solve(SIGNATURE, 1e-10, 200_000, False) is None
-        assert cache.get_solve(SIGNATURE, 1e-12, 100, False) is None
-        assert cache.get_solve(SIGNATURE, 1e-12, 200_000, True) is None
-        assert cache.solve_misses == 4
+        cache.put_solve(SIGNATURE, 1e-12, 200_000, 0.25, 17)
+        assert cache.get_solve(("other",), 1e-12, 200_000) is None
+        assert cache.get_solve(SIGNATURE, 1e-10, 200_000) is None
+        assert cache.get_solve(SIGNATURE, 1e-12, 100) is None
+        assert cache.solve_misses == 3
 
     @pytest.mark.parametrize(
         "probability", [float("nan"), -0.5, 1.5, float("inf")]
     )
     def test_never_persists_implausible_values(self, tmp_path, probability):
         cache = make_cache(tmp_path)
-        cache.put_solve(SIGNATURE, 1e-12, 200_000, False, probability, 17)
-        assert cache.get_solve(SIGNATURE, 1e-12, 200_000, False) is None
+        cache.put_solve(SIGNATURE, 1e-12, 200_000, probability, 17)
+        assert cache.get_solve(SIGNATURE, 1e-12, 200_000) is None
 
     def test_refuses_writes_while_faults_armed(self, tmp_path):
         cache = make_cache(tmp_path)
         with faults.inject("transient_solve", NumericalError("armed")):
-            cache.put_solve(SIGNATURE, 1e-12, 200_000, False, 0.25, 17)
-        assert cache.get_solve(SIGNATURE, 1e-12, 200_000, False) is None
+            cache.put_solve(SIGNATURE, 1e-12, 200_000, 0.25, 17)
+        assert cache.get_solve(SIGNATURE, 1e-12, 200_000) is None
 
     def test_refuses_writes_while_value_faults_armed(self, tmp_path):
         cache = make_cache(tmp_path)
         with faults.inject_value("solve_value", 0.9, times=1):
-            cache.put_solve(SIGNATURE, 1e-12, 200_000, False, 0.25, 17)
-        assert cache.get_solve(SIGNATURE, 1e-12, 200_000, False) is None
+            cache.put_solve(SIGNATURE, 1e-12, 200_000, 0.25, 17)
+        assert cache.get_solve(SIGNATURE, 1e-12, 200_000) is None
 
 
 class TestMocusAndRecordsLayers:
@@ -127,7 +126,7 @@ class TestMocusAndRecordsLayers:
 
 class TestCorruptionTolerance:
     def put_one(self, cache):
-        cache.put_solve(SIGNATURE, 1e-12, 200_000, False, 0.25, 17)
+        cache.put_solve(SIGNATURE, 1e-12, 200_000, 0.25, 17)
 
     def corrupt_payloads(self, cache, payload):
         with sqlite3.connect(db_path(cache)) as connection:
@@ -139,7 +138,7 @@ class TestCorruptionTolerance:
         cache.close()
         self.corrupt_payloads(cache, "{not json")
         cache = SolveCache(cache.cache_dir)
-        assert cache.get_solve(SIGNATURE, 1e-12, 200_000, False) is None
+        assert cache.get_solve(SIGNATURE, 1e-12, 200_000) is None
         assert cache.errors == 1
         with sqlite3.connect(db_path(cache)) as connection:
             count = connection.execute(
@@ -156,7 +155,7 @@ class TestCorruptionTolerance:
         )
         self.corrupt_payloads(cache, stale)
         cache = SolveCache(cache.cache_dir)
-        assert cache.get_solve(SIGNATURE, 1e-12, 200_000, False) is None
+        assert cache.get_solve(SIGNATURE, 1e-12, 200_000) is None
         assert cache.errors == 1
 
     def test_out_of_range_stored_value_is_a_miss(self, tmp_path):
@@ -168,7 +167,7 @@ class TestCorruptionTolerance:
         )
         self.corrupt_payloads(cache, bad)
         cache = SolveCache(cache.cache_dir)
-        assert cache.get_solve(SIGNATURE, 1e-12, 200_000, False) is None
+        assert cache.get_solve(SIGNATURE, 1e-12, 200_000) is None
         assert cache.errors == 1
 
     def test_garbage_database_file_degrades_to_misses(self, tmp_path):
@@ -177,7 +176,7 @@ class TestCorruptionTolerance:
         (cache_dir / "solve-cache.sqlite").write_bytes(b"not a database")
         cache = SolveCache(str(cache_dir))
         self.put_one(cache)  # must not raise
-        assert cache.get_solve(SIGNATURE, 1e-12, 200_000, False) is None
+        assert cache.get_solve(SIGNATURE, 1e-12, 200_000) is None
         assert cache.errors >= 1
 
     def test_unwritable_cache_dir_degrades_to_misses(self, tmp_path):
@@ -185,7 +184,7 @@ class TestCorruptionTolerance:
         blocker.write_text("a file where the directory should be")
         cache = SolveCache(str(blocker / "cache"))
         self.put_one(cache)  # must not raise
-        assert cache.get_solve(SIGNATURE, 1e-12, 200_000, False) is None
+        assert cache.get_solve(SIGNATURE, 1e-12, 200_000) is None
         assert cache.errors >= 1
 
 
@@ -194,7 +193,7 @@ class TestEviction:
         cache = make_cache(tmp_path, max_entries=2)
         for index in range(4):
             cache.put_solve(
-                (f"model-{index}",), 1e-12, 200_000, False, 0.25, 17
+                (f"model-{index}",), 1e-12, 200_000, 0.25, 17
             )
         assert cache.evictions == 2
         with sqlite3.connect(db_path(cache)) as connection:
@@ -274,8 +273,8 @@ class TestAnalyzerLifecycle:
 
     def test_solver_option_change_invalidates(self, cooling_sdft, tmp_path):
         analyze(cooling_sdft, self.opts(tmp_path))
-        lumped = analyze(cooling_sdft, self.opts(tmp_path, lump_chains=True))
-        assert not was_restored(lumped)
+        changed = analyze(cooling_sdft, self.opts(tmp_path, epsilon=1e-10))
+        assert not was_restored(changed)
 
     def test_verify_full_recomputes(self, cooling_sdft, tmp_path):
         analyze(cooling_sdft, self.opts(tmp_path))

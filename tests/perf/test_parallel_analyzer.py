@@ -80,10 +80,6 @@ class TestDeterminism:
         assert_identical(serial, parallel)
         assert parallel.perf.dynamic_solves > 0
 
-    def test_lumped_run_matches_serial(self, cooling_sdft):
-        serial, parallel = run_pair(cooling_sdft, jobs=2, lump_chains=True)
-        assert_identical(serial, parallel)
-
 
 class TestWorkerFaultDeterminism:
     def test_injected_worker_fault_degrades_identically(self, cooling_sdft):

@@ -25,7 +25,6 @@ def make_task(sdft, cutset, task_id=0, **overrides):
         horizon=24.0,
         epsilon=1e-12,
         max_chain_states=200_000,
-        lump_chains=False,
         cutset=tuple(sorted(cutset)),
         estimated_states=estimate_chain_states(model.model),
     )
@@ -69,16 +68,6 @@ class TestSolveTask:
         assert result.probability * model.static_factor == serial.probability
         assert result.chain_states == serial.chain_states
         assert result.solve_seconds > 0.0
-
-    def test_lumped_solve_matches_serial(self, cooling_sdft):
-        model, task = make_task(
-            cooling_sdft, frozenset({"b", "d"}), lump_chains=True
-        )
-        result = solve_task(task)
-        serial = quantify_model(model, 24.0, lump_chains=True)
-        assert result.ok
-        assert result.probability * model.static_factor == serial.probability
-        assert result.chain_states == serial.chain_states
 
     def test_numerical_fault_is_captured(self, cooling_sdft):
         _, task = make_task(cooling_sdft, frozenset({"b", "d"}))

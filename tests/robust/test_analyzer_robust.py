@@ -9,8 +9,14 @@ fault-free answer.
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.analyzer import AnalysisOptions, analyze
 from repro.errors import AnalysisError, NumericalError
 from repro.robust import faults
@@ -51,7 +57,7 @@ def test_transient_solve_fault_degrades_not_crashes(cooling_sdft, clean):
     assert all(
         r.rung == "bound" for r in result.records if r.rung in FALLBACK_RUNGS
     )
-    assert result.health.retries  # the failed exact/lumped attempts
+    assert result.health.retries  # the failed exact attempts
 
 
 def test_chain_build_fault_degrades_not_crashes(cooling_sdft, clean):
@@ -65,8 +71,8 @@ def test_chain_build_fault_degrades_not_crashes(cooling_sdft, clean):
 
 def test_oversized_chains_degrade_not_crash(cooling_sdft, clean):
     # A real (non-injected) failure mode: every product chain exceeds the
-    # per-cutset state guard.  Lumping cannot shrink a chain that cannot
-    # be built, so each such cutset fails once (exact) and is bounded.
+    # per-cutset state guard, so each such cutset fails once (exact)
+    # and is bounded.
     result = analyze(
         cooling_sdft,
         AnalysisOptions(horizon=HORIZON, fault_isolation=True, max_chain_states=1),
@@ -148,3 +154,65 @@ def test_isolated_clean_run_matches_plain_run(cooling_sdft, clean):
     assert result.failure_probability == pytest.approx(
         clean.failure_probability, rel=1e-12
     )
+
+
+def test_budget_trip_is_not_a_ladder_failure(cooling_sdft):
+    """A state budget trips the same way with fault isolation on or off.
+
+    The budget allows the first dynamic chain (4 states) but not the
+    second: both runs keep one exact record, skip the rest under one
+    ``budget`` event, and retry or degrade nothing.
+    """
+    runs = [
+        analyze(
+            cooling_sdft,
+            AnalysisOptions(
+                horizon=HORIZON, max_total_states=5, fault_isolation=isolation
+            ),
+        )
+        for isolation in (False, True)
+    ]
+    timeless = [
+        [dataclasses.replace(r, solve_seconds=0.0) for r in run.records]
+        for run in runs
+    ]
+    assert timeless[0] == timeless[1]
+    assert [r.rung for r in runs[0].records] == ["exact"] + ["skipped"] * 4
+    for run in runs:
+        assert len(run.health.budget_hits) == 1
+        assert not run.health.retries
+        assert not run.health.degradations
+
+
+_BUDGETED_BWR_SCRIPT = """
+from repro.core.analyzer import AnalysisOptions, analyze
+from repro.models.bwr import TRIGGER_STAGES, BwrConfig, build_bwr
+
+model = build_bwr(BwrConfig(repair_rate=0.05, triggers=TRIGGER_STAGES))
+opts = AnalysisOptions(horizon=24.0, cutoff=1e-15, max_total_states=300)
+print(repr(analyze(model, opts).failure_probability))
+"""
+
+
+def test_skipped_values_do_not_depend_on_the_hash_seed():
+    """Skipped records carry the static worst case of their cutset.
+
+    On the budgeted BWR study some of those products sit right at the
+    cutoff, so a product taken in frozenset order served a different
+    total under different ``PYTHONHASHSEED`` values.
+    """
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+
+    def served(hash_seed: str) -> str:
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source_root)
+        completed = subprocess.run(
+            [sys.executable, "-c", _BUDGETED_BWR_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        return completed.stdout.strip()
+
+    assert served("0") == served("1")

@@ -47,7 +47,7 @@ def test_record_dict_equals_asdict_form():
         trivially_zero=True,
         bounded=True,
         lower_bound=1.0e-7,
-        rung="lumped",
+        rung="bound",
         dependencies=("a", "m", "q", "z"),
     )
     expected = dataclasses.asdict(record)

@@ -28,18 +28,18 @@ def test_other_stages_unaffected():
 
 def test_instance_is_raised_as_is():
     error = NumericalError("forced")
-    with faults.inject("lump", error):
+    with faults.inject("bound", error):
         with pytest.raises(NumericalError) as excinfo:
-            faults.check("lump")
+            faults.check("bound")
         assert excinfo.value is error
 
 
 def test_class_is_instantiated_per_trip():
-    with faults.inject("lump", NumericalError):
+    with faults.inject("bound", NumericalError):
         with pytest.raises(NumericalError, match="trip 1"):
-            faults.check("lump")
+            faults.check("bound")
         with pytest.raises(NumericalError, match="trip 2"):
-            faults.check("lump")
+            faults.check("bound")
 
 
 def test_times_limits_trips():

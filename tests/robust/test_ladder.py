@@ -1,4 +1,4 @@
-"""The degradation ladder: exact → lumped → §VIII bound.
+"""The degradation ladder: exact → §VIII bound.
 
 Each test forces failures at a specific rung via fault injection and
 checks both the rung the ladder lands on and that the degraded value
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from repro.core.analyzer import AnalysisOptions, analyze
 from repro.core.cutset_model import build_cutset_model
 from repro.core.quantify import bound_record, quantify_cutset
-from repro.errors import NumericalError
+from repro.errors import BudgetExceededError, NumericalError
 from repro.robust import faults
 from repro.robust.budget import Budget
 from repro.robust.ladder import quantify_with_ladder
@@ -41,24 +41,15 @@ def test_clean_run_stays_on_the_exact_rung(cooling_sdft, clean_value):
     assert outcome.record.probability == pytest.approx(clean_value)
 
 
-def test_single_failure_recovers_on_the_lumped_rung(cooling_sdft, clean_value):
-    with faults.inject("transient_solve", NumericalError("forced"), times=1):
-        outcome = quantify_with_ladder(cooling_sdft, CUTSET, HORIZON)
-    assert outcome.rung == "lumped"
-    assert outcome.degraded
-    assert [a.rung for a in outcome.attempts] == ["exact"]
-    assert "forced" in outcome.attempts[0].error
-    # Lumping is exact: the recovered value matches the clean one.
-    assert outcome.record.probability == pytest.approx(clean_value, rel=1e-9)
-
-
 def test_persistent_solver_failure_lands_on_the_bound_rung(
     cooling_sdft, clean_value
 ):
     with faults.inject("transient_solve", NumericalError("forced")):
         outcome = quantify_with_ladder(cooling_sdft, CUTSET, HORIZON)
     assert outcome.rung == "bound"
-    assert [a.rung for a in outcome.attempts] == ["exact", "lumped"]
+    assert outcome.degraded
+    assert [a.rung for a in outcome.attempts] == ["exact"]
+    assert "forced" in outcome.attempts[0].error
     record = outcome.record
     assert record.bounded
     assert record.lower_bound <= clean_value <= record.probability
@@ -71,7 +62,6 @@ def test_bound_rung_serves_the_oversize_record(cooling_sdft):
     oversize = quantify_with_ladder(
         cooling_sdft, CUTSET, HORIZON, max_chain_states=1
     )
-    # An unbuildable chain skips the lumped rung: one failed attempt.
     assert [a.rung for a in oversize.attempts] == ["exact"]
     bound = bound_record(build_cutset_model(cooling_sdft, CUTSET), HORIZON)
     strip = lambda r: dataclasses.replace(r, solve_seconds=0.0)  # noqa: E731
@@ -80,11 +70,11 @@ def test_bound_rung_serves_the_oversize_record(cooling_sdft):
 
 def test_everything_failing_lands_on_the_bound_rung(cooling_sdft, clean_value):
     with faults.inject("chain_build", NumericalError("forced")), faults.inject(
-        "lump", NumericalError("forced")
-    ), faults.inject("transient_solve", NumericalError("forced")):
+        "transient_solve", NumericalError("forced")
+    ):
         outcome = quantify_with_ladder(cooling_sdft, CUTSET, HORIZON)
     assert outcome.rung == "bound"
-    assert [a.rung for a in outcome.attempts] == ["exact", "lumped"]
+    assert [a.rung for a in outcome.attempts] == ["exact"]
     record = outcome.record
     assert record.bounded
     assert record.lower_bound <= clean_value <= record.probability
@@ -98,15 +88,13 @@ def test_failing_bound_rung_raises(cooling_sdft):
         quantify_with_ladder(cooling_sdft, CUTSET, HORIZON)
 
 
-def test_expired_budget_lands_on_the_bound_rung(cooling_sdft, clean_value):
-    # An already-expired wall clock fails both solver rungs; the bound
-    # rung's per-event solves are not charged to the budget.
-    outcome = quantify_with_ladder(
-        cooling_sdft, CUTSET, HORIZON, budget=Budget(wall_seconds=0.0)
-    )
-    assert outcome.rung == "bound"
-    assert [a.rung for a in outcome.attempts] == ["exact", "lumped"]
-    assert outcome.record.lower_bound <= clean_value <= outcome.record.probability
+def test_expired_budget_propagates(cooling_sdft):
+    """A budget trip is the run's to handle, not a rung failure: the
+    analyzer's budget path skips every remaining cutset at once."""
+    with pytest.raises(BudgetExceededError):
+        quantify_with_ladder(
+            cooling_sdft, CUTSET, HORIZON, budget=Budget(wall_seconds=0.0)
+        )
 
 
 def test_static_cutsets_never_degrade(cooling_sdft):
@@ -131,8 +119,8 @@ def _contains(lower, value, upper):
 def test_degraded_records_bracket_the_exact_rung(degrade, sdft):
     """Every rung serves a provable bracket of the clean exact value.
 
-    Both solver rungs are made to fail — by a persistent solver fault
-    or by a one-state chain limit — so every dynamic cutset lands on the
+    The exact rung is made to fail — by a persistent solver fault or by
+    a one-state chain limit — so every dynamic cutset lands on the
     bound rung.  When both runs serve the rare-event sum, the degraded
     run's reported interval contains the clean total.  (When the
     degraded sum overshoots 1.0 the run serves ``mcs-min-cut-ub``,

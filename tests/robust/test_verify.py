@@ -320,11 +320,10 @@ class TestAnalyzerVerify:
     sdft=sd_fault_trees(),
     horizon=st.sampled_from([6.0, 24.0, 96.0]),
     cutoff=st.sampled_from([0.0, 1e-9]),
-    lump=st.booleans(),
 )
-def test_cheap_verify_is_an_observer(sdft, horizon, cutoff, lump):
+def test_cheap_verify_is_an_observer(sdft, horizon, cutoff):
     """``verify="cheap"`` is pure observation: bit-identical results."""
-    base_opts = AnalysisOptions(horizon=horizon, cutoff=cutoff, lump_chains=lump)
+    base_opts = AnalysisOptions(horizon=horizon, cutoff=cutoff)
     baseline = analyze(sdft, base_opts)
     verified = analyze(sdft, dataclasses.replace(base_opts, verify="cheap"))
     assert verified.failure_probability == baseline.failure_probability

@@ -137,10 +137,6 @@ class TestXmlModels:
 
 
 class TestAnalyzeFlags:
-    def test_lump_flag(self, sd_model_file, capsys):
-        assert main(["analyze", sd_model_file, "--lump"]) == 0
-        assert "failure probability" in capsys.readouterr().out
-
     def test_degrade_flag(self, sd_model_file, capsys):
         assert main(["analyze", sd_model_file, "--degrade"]) == 0
         assert "failure probability" in capsys.readouterr().out
