@@ -6,7 +6,9 @@ process, exactly as a client would see it:
 1. **Healthy phase** — start the daemon, load the BWR demo model over
    stdio, run a scripted edit / re-quantify loop, and check every
    served probability bit-for-bit against an in-process cold
-   ``analyze(apply_edits(...))`` reference.
+   ``analyze(apply_edits(...))`` reference, and that every re-analysis
+   was served incrementally (``retruncate`` or ``modular``, never a
+   fall-back to the cold search).
 2. **Crash phase** — start a second daemon on the *same* journal with
    the ``REPRO_SERVICE_KILL_AFTER=journal_begin:reanalyze`` chaos hook
    armed, and send a re-analysis: the daemon SIGKILLs itself between
@@ -191,6 +193,13 @@ def main(argv=None) -> int:
             f"(mode={warm.get('mode')})",
             warm.get("probability") == reference,
             f"served {warm.get('probability')!r} want {reference!r}",
+        )
+        # A reanalyze served by the cold search still answers right, so
+        # only its mode shows that an incremental path stopped applying.
+        _check(
+            f"reanalyze after {step['event']} served incrementally",
+            warm.get("mode") in ("retruncate", "modular"),
+            f"mode={warm.get('mode')!r}",
         )
     client.shutdown()
 

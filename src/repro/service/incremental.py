@@ -20,18 +20,21 @@ Two incremental strategies exploit this, in order of preference:
 
 2. **Modular recomposition** — otherwise, decompose the tree into its
    maximal independent modules (Dutuit–Rauzy, :mod:`repro.ft.modules`).
-   Because all probability factors are ``≤ 1``, every whole-tree cutset
-   above ``c*`` projects onto each module as a module cutset above
-   ``c*`` — so per-module families are computable by a plain
-   ``mocus(subtree(M))`` at the *same* cutoff, and are content-addressed
-   by the module subtree digest: an edit inside one module recomputes
-   only that family.  A small *context tree* (each module gate collapsed
-   to a basic event at its family's maximum cutset probability — an
-   upper bound, so context pruning stays conservative) is re-searched
-   every time, and the whole-tree family is the bound-pruned
-   cross-product of context cutsets with module families.  For coherent
-   AND/OR/ATLEAST trees this composition yields exactly the minimal
-   cutsets of the whole tree.
+   Each module's *complete* minimal-cutset family is read off its BDD
+   (:func:`~repro.bdd.ft_bdd.compile_tree`, then ``minsol``).  A
+   complete family depends on the module's gate structure only, not on
+   any probability, so it is keyed by that structure: a session compiles
+   each module once, and every later probability or rate edit reuses
+   it.  A small *context tree* (each module gate collapsed to a basic
+   event at the module's largest cutset probability under the current
+   probabilities — an upper bound, so context pruning stays
+   conservative) is re-searched by MOCUS every time, and the whole-tree
+   family is the bound-pruned cross-product of context cutsets with
+   module families.  Because all probability factors are ``≤ 1``, every
+   whole-tree cutset above ``c*`` projects onto each module as a module
+   cutset above ``c*``, so the composition misses none of them; for
+   coherent AND/OR/ATLEAST trees it yields exactly the minimal cutsets
+   of the whole tree.
 
 Both paths end in the same canonical membership test the cold search
 uses (``cutset_probability(C) > cutoff`` with a single fixed
@@ -41,9 +44,10 @@ so boundary-straddling cutsets resolve identically warm and cold.  A
 probability parked *exactly on* the cutoff is still a single-rounding
 coin flip; don't do that.
 
-When neither strategy applies (module search overflow, overlapping
-module report, oversized cross-product) the caller falls back to a full
-MOCUS run; the fallback is always sound, never silent.
+When neither strategy applies (a module BDD past its node budget, a
+context search overflow, an overlapping module report, an oversized
+cross-product) the caller falls back to a full MOCUS run; the fallback
+is always sound, never silent.
 """
 
 from __future__ import annotations
@@ -51,33 +55,24 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.errors import CutoffError
+from repro.bdd.ft_bdd import compile_tree
+from repro.errors import BddBudgetExceeded, CutoffError
 from repro.ft.cutsets import cutset_probability
 from repro.ft.mocus import _CUTOFF_SLACK, MocusOptions, MocusResult, mocus
 from repro.ft.modules import find_modules
 from repro.ft.tree import BasicEvent, FaultTree
-from repro.perf.cache import tree_digest
 
 __all__ = [
     "FamilyCache",
     "IncrementalStats",
-    "ModuleFamily",
     "incremental_cutsets",
 ]
 
+#: A family of cutsets as sorted event-name tuples.
+Family = tuple[tuple[str, ...], ...]
 
-@dataclass(frozen=True)
-class ModuleFamily:
-    """The above-cutoff minimal cutsets of one module subtree.
-
-    ``cutsets`` are sorted name tuples (the pre-truncation family of a
-    completed module search); ``max_probability`` is the largest cutset
-    probability under the subtree's own event probabilities — the upper
-    bound the context tree substitutes for the module.
-    """
-
-    cutsets: tuple[tuple[str, ...], ...]
-    max_probability: float
+#: A module family's cutsets with their probabilities, most probable first.
+Selections = list[tuple[tuple[str, ...], float]]
 
 
 @dataclass
@@ -109,23 +104,24 @@ class IncrementalStats:
 
 
 class FamilyCache:
-    """Content-addressed module families with LRU eviction.
+    """Complete minimal-cutset families of module subtrees, LRU-evicted.
 
-    Keys cover the module subtree digest (structure *and* event
-    probabilities) plus the search options, so a stale family can never
-    be served after an edit that touches the module.
+    A complete family is a function of the subtree's gate structure
+    alone, so the key is that structure (:func:`_structure_key`) and
+    carries no probability: an edit that only changes probabilities or
+    rates hits the cache, and an edit that rewires a module misses it.
     """
 
     def __init__(self, max_entries: int = 512) -> None:
         self.max_entries = max_entries
-        self._store: "OrderedDict[tuple, ModuleFamily]" = OrderedDict()
+        self._store: "OrderedDict[tuple, Family]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._store)
 
-    def get(self, key: tuple) -> ModuleFamily | None:
+    def get(self, key: tuple) -> Family | None:
         family = self._store.get(key)
         if family is None:
             self.misses += 1
@@ -134,7 +130,7 @@ class FamilyCache:
         self.hits += 1
         return family
 
-    def put(self, key: tuple, family: ModuleFamily) -> None:
+    def put(self, key: tuple, family: Family) -> None:
         self._store[key] = family
         self._store.move_to_end(key)
         while len(self._store) > self.max_entries:
@@ -142,7 +138,7 @@ class FamilyCache:
 
 
 def _structure_key(tree: FaultTree) -> tuple:
-    """Everything MOCUS output depends on except event probabilities."""
+    """Everything a minimal-cutset family depends on except probabilities."""
     return (
         tree.top,
         frozenset(tree.events),
@@ -170,7 +166,8 @@ def incremental_cutsets(
     options: MocusOptions,
     families: FamilyCache,
     previous_tree: FaultTree | None = None,
-    previous_family: tuple[tuple[str, ...], ...] = (),
+    previous_family: Family = (),
+    node_budget: int | None = None,
 ) -> tuple[MocusResult, IncrementalStats] | None:
     """Generate the cutsets of ``tree`` reusing previous work.
 
@@ -179,7 +176,8 @@ def incremental_cutsets(
     returned :class:`MocusResult` is element-for-element what a cold
     search of ``tree`` would produce (modulo the documented cutoff
     float-boundary caveat), with ``full_cutsets`` populated so the next
-    edit can take the re-truncate fast path.
+    edit can take the re-truncate fast path.  ``node_budget`` caps each
+    module BDD; a module past it sends the run to the full search.
     """
     if (
         previous_tree is not None
@@ -193,15 +191,41 @@ def incremental_cutsets(
         )
         return result, stats
     try:
-        return _modular(tree, options, families)
-    except CutoffError:
-        # A module or context search overflowed its partials limit;
-        # let the cold pipeline handle (and report) the blow-up.
+        return _modular(tree, options, families, node_budget)
+    except (BddBudgetExceeded, CutoffError):
+        # A module BDD outgrew its node budget, or a module family or
+        # the context search its limits; let the cold pipeline handle
+        # (and report) it.
         return None
 
 
+def _module_family(
+    subtree: FaultTree, options: MocusOptions, node_budget: int | None
+) -> Family:
+    """The complete minimal-cutset family of ``subtree``, from its BDD.
+
+    Held to the ``max_cutsets`` bound a search is held to, counted on
+    the minimal-solutions BDD before any cutset is materialised.
+    """
+    compiled = compile_tree(subtree, node_budget=node_budget)
+    manager, order = compiled.manager, compiled.order
+    size = manager.count_paths(manager.minsol(compiled.root))
+    if size > options.max_cutsets:
+        raise CutoffError(
+            f"module {subtree.top} has {size} minimal cutsets, over "
+            f"max_cutsets={options.max_cutsets}"
+        )
+    return tuple(
+        tuple(sorted(order[i] for i in solution))
+        for solution in manager.minimal_solution_sets(compiled.root)
+    )
+
+
 def _modular(
-    tree: FaultTree, options: MocusOptions, families: FamilyCache
+    tree: FaultTree,
+    options: MocusOptions,
+    families: FamilyCache,
+    node_budget: int | None,
 ) -> tuple[MocusResult, IncrementalStats] | None:
     stats = IncrementalStats(mode="modular")
     reach = tree.reachable_from_top()
@@ -226,32 +250,26 @@ def _modular(
     if total_nodes != len(covered_gates) + len(covered_events):
         return None
 
-    family_by_module: dict[str, ModuleFamily] = {}
+    probabilities = {
+        name: event.probability for name, event in tree.events.items()
+    }
+    expansions: dict[str, Selections] = {}
     for name in chosen:
         subtree = tree.subtree(name)
-        key = (tree_digest(subtree), repr(options.cutoff), options.max_partials)
+        key = _structure_key(subtree)
         family = families.get(key)
         if family is None:
-            result = mocus(subtree, options)
-            if result.truncated:  # pragma: no cover - no budget in play
-                return None
-            cutsets = result.full_cutsets
-            probabilities = {
-                n: event.probability for n, event in subtree.events.items()
-            }
-            max_probability = max(
-                (
-                    cutset_probability(frozenset(c), probabilities)
-                    for c in cutsets
-                ),
-                default=0.0,
-            )
-            family = ModuleFamily(cutsets, max_probability)
+            family = _module_family(subtree, options, node_budget)
             families.put(key, family)
             stats.modules_recomputed += 1
         else:
             stats.modules_reused += 1
-        family_by_module[name] = family
+        selections = [
+            (cutset, cutset_probability(frozenset(cutset), probabilities))
+            for cutset in family
+        ]
+        selections.sort(key=lambda item: (-item[1], item[0]))
+        expansions[name] = selections
 
     context_events = [
         event
@@ -259,8 +277,7 @@ def _modular(
         if name in reach and name not in covered_events
     ]
     context_events += [
-        BasicEvent(name, family_by_module[name].max_probability)
-        for name in chosen
+        BasicEvent(name, _largest(expansions[name])) for name in chosen
     ]
     context_gates = [
         gate
@@ -276,9 +293,7 @@ def _modular(
     context_family = context_result.full_cutsets
     stats.context_cutsets = len(context_family)
 
-    composed = _compose(
-        tree, context_family, family_by_module, set(chosen), options
-    )
+    composed = _compose(probabilities, context_family, expansions, options)
     if composed is None:
         return None
     stats.composed_cutsets = len(composed)
@@ -293,11 +308,15 @@ def _modular(
     return result, stats
 
 
+def _largest(selections: Selections) -> float:
+    """A module's largest cutset probability: its first selection."""
+    return selections[0][1] if selections else 0.0
+
+
 def _compose(
-    tree: FaultTree,
-    context_family: tuple[tuple[str, ...], ...],
-    family_by_module: dict[str, ModuleFamily],
-    chosen: set[str],
+    probabilities: dict[str, float],
+    context_family: Family,
+    expansions: dict[str, Selections],
     options: MocusOptions,
 ) -> list[frozenset[str]] | None:
     """Bound-pruned cross-product expansion of context cutsets.
@@ -306,20 +325,8 @@ def _compose(
     probability is at or below the cutoff — every discarded composition
     would have been pruned (or truncated) by the cold search too.
     """
-    probabilities = {
-        name: event.probability for name, event in tree.events.items()
-    }
     use_cutoff = options.cutoff > 0.0
     cutoff = options.cutoff
-    expansions: dict[str, list[tuple[tuple[str, ...], float]]] = {}
-    for name, family in family_by_module.items():
-        selections = [
-            (cutset, cutset_probability(frozenset(cutset), probabilities))
-            for cutset in family.cutsets
-        ]
-        selections.sort(key=lambda item: (-item[1], item[0]))
-        expansions[name] = selections
-
     composed: list[frozenset[str]] = []
     overflow = False
 
@@ -359,16 +366,14 @@ def _compose(
             )
 
     for context_cutset in context_family:
-        base = [name for name in context_cutset if name not in chosen]
-        modules = [name for name in context_cutset if name in chosen]
+        base = [name for name in context_cutset if name not in expansions]
+        modules = [name for name in context_cutset if name in expansions]
         probability = 1.0
         for name in base:
             probability *= probabilities[name]
         suffix = [1.0] * (len(modules) + 1)
         for i in range(len(modules) - 1, -1, -1):
-            suffix[i] = (
-                suffix[i + 1] * family_by_module[modules[i]].max_probability
-            )
+            suffix[i] = suffix[i + 1] * _largest(expansions[modules[i]])
         expand(modules, suffix, 0, base, probability)
         if overflow:
             return None

@@ -17,8 +17,9 @@ families, the fingerprint-keyed solve store).  The lifecycle:
 
 ``reanalyze()``
     Re-run the analysis reusing everything whose content fingerprint
-    is unchanged: MOCUS runs only on modules the edit touched
-    (:mod:`repro.service.incremental`) and only cutsets whose ``FT_C``
+    is unchanged: module cutset families are compiled once per module
+    structure and recomposed under the new probabilities
+    (:mod:`repro.service.incremental`), and only cutsets whose ``FT_C``
     model signature changed are re-solved (the previous solve store is
     primed into the quantification cache).  ``crosscheck=True``
     additionally runs a cold from-scratch analysis and proves the two
@@ -250,6 +251,7 @@ class AnalysisSession:
                 self.families,
                 previous_tree=previous.tree if previous else None,
                 previous_family=previous.family if previous else (),
+                node_budget=opts.bdd_node_budget,
             )
             reuse.translation = translation
             if found is not None:

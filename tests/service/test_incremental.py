@@ -7,8 +7,11 @@ from dataclasses import replace
 
 from repro.core.analyzer import AnalysisOptions, analyze
 from repro.ft.cutsets import cutset_probability
+from repro.ft.mocus import MocusOptions
+from repro.ft.tree import BasicEvent, FaultTree, Gate, GateType
 from repro.service.edits import ScaleRates, SetProbability
-from repro.service.session import AnalysisSession
+from repro.service.incremental import FamilyCache, incremental_cutsets
+from repro.service.session import AnalysisSession, assert_bit_identical
 
 
 def test_rate_decrease_uses_retruncate(cooling_sdft, options, tmp_path):
@@ -40,6 +43,58 @@ def test_rate_increase_still_bit_identical(cooling_sdft, options):
     session.edit(ScaleRates("b", 4.0))
     session.reanalyze(crosscheck=True)
     assert session.last_mode in ("modular", "full")
+
+
+def test_module_families_are_computed_once_per_session(cooling_sdft, options):
+    # A module's complete family depends on its structure only, so
+    # raising edits of different events, static and dynamic, all reuse
+    # the family the first modular run compiled.
+    session = AnalysisSession(cooling_sdft, options)
+    session.analyze()
+    misses = []
+    for edit in (
+        ScaleRates("b", 4.0),
+        SetProbability("a", 8e-3),
+        ScaleRates("d", 4.0),
+        SetProbability("e", 1e-5),
+    ):
+        session.edit(edit)
+        session.reanalyze(crosscheck=True)
+        assert session.last_mode == "modular"
+        misses.append(session.families.misses)
+    assert misses[0] >= 1
+    assert misses == [misses[0]] * len(misses)
+    assert session.families.hits == 3 * misses[0]
+
+
+def test_module_bdd_over_budget_falls_back_to_full(cooling_sdft, options):
+    # Two nodes are the BDD's terminals: any module compile trips.
+    tight = replace(options, bdd_node_budget=2)
+    session = AnalysisSession(cooling_sdft, tight)
+    session.analyze()
+    session.edit(ScaleRates("b", 4.0))
+    warm = session.reanalyze()
+    assert session.last_mode == "full"
+    assert session.incremental_runs == 0
+    assert_bit_identical(warm, analyze(session.model, tight))
+
+
+def test_module_family_over_max_cutsets_falls_back():
+    # An AND of eight 8-event ORs has 8**8 minimal cutsets but a small
+    # BDD: the family is counted before it is listed, and one larger
+    # than max_cutsets sends the run to the full search.
+    events = [BasicEvent(f"e{i}{j}", 1e-3) for i in range(8) for j in range(8)]
+    ors = [
+        Gate(f"or{i}", GateType.OR, tuple(f"e{i}{j}" for j in range(8)))
+        for i in range(8)
+    ]
+    module = Gate("module", GateType.AND, tuple(gate.name for gate in ors))
+    top = Gate("top", GateType.OR, ("module", "x"))
+    tree = FaultTree(
+        "top", events + [BasicEvent("x", 1e-2)], ors + [module, top]
+    )
+    options = MocusOptions(cutoff=1e-15)
+    assert incremental_cutsets(tree, options, FamilyCache()) is None
 
 
 def test_repeated_edits_stay_bit_identical(cooling_sdft, options):

@@ -89,6 +89,7 @@ def sd_fault_trees(
     max_dynamic: int = 4,
     max_gates: int = 5,
     max_rate: float = 0.2,
+    tree_shaped: bool = False,
 ):
     """A random small SD fault tree with a valid triggering structure.
 
@@ -97,13 +98,18 @@ def sd_fault_trees(
     could become cyclic: event ``d_i`` may only be triggered by a gate
     whose subtree contains no event ``d_j`` with ``j >= i`` — a simple
     stratification that guarantees the acyclicity requirement.
+
+    By default the top gate references every node, so no gate below it
+    is a module.  ``tree_shaped=True`` instead feeds every event and
+    gate into exactly one parent, which makes every gate a module (the
+    shape the what-if engine's modular path decomposes).
     """
     from repro.core.sdft import SdFaultTreeBuilder
     from repro.ctmc.builders import repairable, triggered_repairable
 
     n_static = draw(st.integers(1, max_static))
     n_dynamic = draw(st.integers(1, max_dynamic))
-    n_gates = draw(st.integers(1, max_gates))
+    n_gates = draw(st.integers(2 if tree_shaped else 1, max_gates))
 
     b = SdFaultTreeBuilder("random-sd")
     static_names = []
@@ -135,16 +141,28 @@ def sd_fault_trees(
         max_dyn_under[name] = -1
     for i, name in enumerate(dynamic_names):
         max_dyn_under[name] = i
+    used: set[str] = set()
     for g in range(n_gates):
         pool = static_names + dynamic_names + gate_names
-        is_top = g == n_gates - 1
-        size = draw(st.integers(2, min(4, len(pool))))
-        children = draw(
-            st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True)
-        )
-        if is_top:
+        if tree_shaped:
+            pool = [n for n in pool if n not in used]
+        is_top = g == n_gates - 1 or (tree_shaped and len(pool) <= 2)
+        if tree_shaped and is_top:
+            children = pool
+        else:
+            # A tree-shaped inner gate leaves at least two parentless
+            # nodes (itself and one more) for the top gate.
+            limit = len(pool) - 1 if tree_shaped else len(pool)
+            size = draw(st.integers(2, min(4, limit)))
+            children = draw(
+                st.lists(
+                    st.sampled_from(pool), min_size=size, max_size=size, unique=True
+                )
+            )
+        if is_top and not tree_shaped:
             unused = [n for n in pool if n not in children]
             children = list(children) + unused
+        used.update(children)
         gate_type = draw(st.sampled_from(["and", "or"]))
         gate_name = f"g{g}"
         if gate_type == "and":
@@ -155,6 +173,8 @@ def sd_fault_trees(
             (max_dyn_under[c] for c in children), default=-1
         )
         gate_names.append(gate_name)
+        if is_top:
+            break
 
     for i, name in enumerate(dynamic_names):
         if not triggered_flags[i]:
