@@ -51,6 +51,10 @@ _EDIT_LADDER = [
     {"kind": "set-probability", "event": "ECC-A-BREAKER",
      "probability": 2e-4},
     {"kind": "scale-rates", "event": "EFW-B-PUMP-FTR", "factor": 1.5},
+    # Undoes the first step: the pump's chain gets its original content
+    # back, which the B pump still has, so its worst case comes from the
+    # map carried across edits.
+    {"kind": "scale-rates", "event": "ECC-A-PUMP-FTR", "factor": 2.0},
 ]
 _KILL_WAIT_SECONDS = 180.0
 

@@ -303,7 +303,7 @@ class AnalysisReuse:
     solves: "dict[tuple, tuple[float, int]] | None" = None
     records: "dict[frozenset, McsQuantification] | None" = None
     note: str = ""
-    out_translation: "object | None" = None
+    out_translation: "StaticTranslation | None" = None
     out_mocus: "MocusResult | None" = None
     out_solves: "dict[tuple, tuple[float, int]] | None" = None
 

@@ -18,6 +18,7 @@ new AND gate to ``g`` mirrors exactly the reversed trigger edge
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.core.sdft import SdFaultTree
 from repro.core.worst_case import worst_case_probabilities
@@ -42,9 +43,17 @@ class StaticTranslation:
     worst_case: dict[str, float]
 
 
-def to_static(sdft: SdFaultTree, horizon: float) -> StaticTranslation:
-    """Build the static tree ``FT̄`` of ``sdft`` for the given horizon."""
-    worst_case = worst_case_probabilities(sdft, horizon)
+def to_static(
+    sdft: SdFaultTree,
+    horizon: float,
+    solved: Mapping[str, float] | None = None,
+) -> StaticTranslation:
+    """Build the static tree ``FT̄`` of ``sdft`` for the given horizon.
+
+    ``solved`` maps chain fingerprints to worst cases already computed at
+    this horizon (see :func:`~repro.core.worst_case.worst_case_probabilities`).
+    """
+    worst_case = worst_case_probabilities(sdft, horizon, solved=solved)
 
     events: list[BasicEvent] = list(sdft.static_events.values())
     for name, event in sdft.dynamic_events.items():

@@ -23,12 +23,14 @@ Correctness note: the worst-case choice is conservative by construction
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from repro.ctmc.chain import Ctmc
 from repro.ctmc.transient import failure_probability
 from repro.ctmc.triggered import TriggeredCtmc
 from repro.core.sdft import SdFaultTree
 
-__all__ = ["worst_case_probability", "worst_case_probabilities"]
+__all__ = ["by_fingerprint", "worst_case_probability", "worst_case_probabilities"]
 
 
 def worst_case_probability(
@@ -47,17 +49,39 @@ def worst_case_probability(
 
 
 def worst_case_probabilities(
-    sdft: SdFaultTree, horizon: float, epsilon: float = 1e-12
+    sdft: SdFaultTree,
+    horizon: float,
+    epsilon: float = 1e-12,
+    solved: Mapping[str, float] | None = None,
 ) -> dict[str, float]:
     """Worst-case probabilities for every dynamic event of the tree.
 
-    Identical chain objects shared by several events are solved once.
+    Chains with the same content (:meth:`~repro.ctmc.chain.Ctmc.fingerprint`)
+    are solved once.  ``solved`` maps chain fingerprints to worst cases
+    already computed at this ``horizon`` and ``epsilon`` — a previous
+    run's :func:`by_fingerprint` — and those chains are not solved
+    again: an edit that leaves a chain's content alone costs it no
+    solve.
     """
-    by_chain: dict[int, float] = {}
+    by_chain: dict[str, float] = dict(solved or {})
     result: dict[str, float] = {}
     for name, event in sdft.dynamic_events.items():
-        key = id(event.chain)
+        key = event.chain.fingerprint()
         if key not in by_chain:
             by_chain[key] = worst_case_probability(event.chain, horizon, epsilon)
         result[name] = by_chain[key]
     return result
+
+
+def by_fingerprint(
+    sdft: SdFaultTree, worst_case: Mapping[str, float]
+) -> dict[str, float]:
+    """Re-key per-event worst cases of ``sdft`` by chain fingerprint.
+
+    The ``solved`` map a later :func:`worst_case_probabilities` call on
+    an edited model accepts; one entry per distinct chain of ``sdft``.
+    """
+    return {
+        event.chain.fingerprint(): worst_case[name]
+        for name, event in sdft.dynamic_events.items()
+    }

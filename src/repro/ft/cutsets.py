@@ -11,14 +11,15 @@ provides
 * per-cutset probability ``p(C) = prod p(a)`` (:func:`cutset_probability`),
 * the three standard aggregations of an MCS list: rare-event
   approximation, min-cut upper bound, and exact inclusion–exclusion
-  (:class:`CutSetList`).
+  (:class:`CutSetList`, which computes each cutset's sorted names and
+  canonical probability once and reads them in every aggregation).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "minimize_masks",
     "is_subsumed_mask",
     "cutset_probability",
+    "sorted_probability",
     "CutSetList",
 ]
 
@@ -115,8 +117,19 @@ def cutset_probability(
     cutset differently (cold search vs warm cache vs incremental
     recomposition).
     """
+    return sorted_probability(sorted(cutset), probabilities)
+
+
+def sorted_probability(
+    names: Iterable[str], probabilities: Mapping[str, float]
+) -> float:
+    """:func:`cutset_probability` of a cutset whose names are already sorted.
+
+    The same product in the same order, so the same float, without
+    sorting the names again.
+    """
     result = 1.0
-    for name in sorted(cutset):
+    for name in names:
         result *= probabilities[name]
     return result
 
@@ -127,10 +140,29 @@ class CutSetList:
 
     Construction does not re-minimise; use :meth:`from_cutsets` to
     minimise and sort by descending probability in one step.
+
+    ``names`` (each cutset's events in sorted order) and ``values``
+    (each cutset's canonical :func:`cutset_probability`) are derived
+    once, at construction, and every aggregation reads them: a list is
+    sorted, truncated and summed without re-multiplying a cutset.
     """
 
     cutsets: tuple[frozenset[str], ...]
     probabilities: Mapping[str, float]
+    names: tuple[tuple[str, ...], ...] = field(
+        default=(), compare=False, repr=False
+    )
+    values: tuple[float, ...] = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not len(self.names) == len(self.values) == len(self.cutsets):
+            names = tuple(tuple(sorted(c)) for c in self.cutsets)
+            object.__setattr__(self, "names", names)
+            object.__setattr__(
+                self,
+                "values",
+                tuple(sorted_probability(n, self.probabilities) for n in names),
+            )
 
     @classmethod
     def from_cutsets(
@@ -145,8 +177,26 @@ class CutSetList:
         lexicographically for determinism.
         """
         family = list(cutsets) if minimal else minimize(cutsets)
-        family.sort(key=lambda c: (-cutset_probability(c, probabilities), sorted(c)))
-        return cls(tuple(family), probabilities)
+        names = [tuple(sorted(c)) for c in family]
+        values = [sorted_probability(n, probabilities) for n in names]
+        order = sorted(range(len(family)), key=lambda i: (-values[i], names[i]))
+        return cls(
+            tuple(family[i] for i in order),
+            probabilities,
+            tuple(names[i] for i in order),
+            tuple(values[i] for i in order),
+        )
+
+    def _select(self, keep: Iterable[int]) -> "CutSetList":
+        """The sub-list at the given ascending indices, keeping the
+        derived fields."""
+        indices = list(keep)
+        return CutSetList(
+            tuple(self.cutsets[i] for i in indices),
+            self.probabilities,
+            tuple(self.names[i] for i in indices),
+            tuple(self.values[i] for i in indices),
+        )
 
     def __len__(self) -> int:
         return len(self.cutsets)
@@ -159,7 +209,7 @@ class CutSetList:
 
     def probability_of(self, index: int) -> float:
         """Probability of the ``index``-th cutset."""
-        return cutset_probability(self.cutsets[index], self.probabilities)
+        return self.values[index]
 
     def rare_event(self) -> float:
         """Rare-event approximation: the sum of cutset probabilities.
@@ -168,7 +218,7 @@ class CutSetList:
         scenarios represented by several MCSs are counted once per MCS
         (paper, Section IV-A property iii).
         """
-        return sum(cutset_probability(c, self.probabilities) for c in self.cutsets)
+        return sum(self.values)
 
     def sound_estimate(self) -> tuple[float, str]:
         """A sound aggregation: ``(value, estimator)``.
@@ -193,11 +243,7 @@ class CutSetList:
         tree — the floor of the bracket
         ``largest <= exact <= rare-event sum`` the cross-checks assert.
         """
-        if not self.cutsets:
-            return 0.0
-        return max(
-            cutset_probability(c, self.probabilities) for c in self.cutsets
-        )
+        return max(self.values, default=0.0)
 
     def min_cut_upper_bound(self) -> float:
         """The MCUB aggregation ``1 - prod (1 - p(C))``.
@@ -206,8 +252,7 @@ class CutSetList:
         coherent trees; exact when cutsets are disjoint.
         """
         log_complement = 0.0
-        for cutset in self.cutsets:
-            p = cutset_probability(cutset, self.probabilities)
+        for p in self.values:
             if p >= 1.0:
                 return 1.0
             log_complement += math.log1p(-p)
@@ -243,19 +288,16 @@ class CutSetList:
 
     def truncate(self, cutoff: float) -> "CutSetList":
         """Drop cutsets whose probability is at or below ``cutoff``."""
-        kept = tuple(
-            c
-            for c in self.cutsets
-            if cutset_probability(c, self.probabilities) > cutoff
+        return self._select(
+            i for i, value in enumerate(self.values) if value > cutoff
         )
-        return CutSetList(kept, self.probabilities)
 
     def filtered(
         self, predicate: Callable[[frozenset[str]], bool]
     ) -> "CutSetList":
         """Keep only cutsets satisfying ``predicate``, preserving order."""
-        return CutSetList(
-            tuple(c for c in self.cutsets if predicate(c)), self.probabilities
+        return self._select(
+            i for i, cutset in enumerate(self.cutsets) if predicate(cutset)
         )
 
     def size_histogram(self) -> dict[int, int]:

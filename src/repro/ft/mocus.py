@@ -171,7 +171,7 @@ class MocusResult:
             stats,
             truncated,
             remainder_bound,
-            () if truncated else tuple(tuple(sorted(c)) for c in complete),
+            () if truncated else complete.names,
         )
 
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 from repro.bdd.ft_bdd import compile_tree
 from repro.errors import BddBudgetExceeded, CutoffError
-from repro.ft.cutsets import cutset_probability
+from repro.ft.cutsets import sorted_probability
 from repro.ft.mocus import _CUTOFF_SLACK, MocusOptions, MocusResult, mocus
 from repro.ft.modules import find_modules
 from repro.ft.tree import BasicEvent, FaultTree
@@ -264,8 +264,9 @@ def _modular(
             stats.modules_recomputed += 1
         else:
             stats.modules_reused += 1
+        # Family tuples are sorted, so this is the canonical product.
         selections = [
-            (cutset, cutset_probability(frozenset(cutset), probabilities))
+            (cutset, sorted_probability(cutset, probabilities))
             for cutset in family
         ]
         selections.sort(key=lambda item: (-item[1], item[0]))
@@ -299,12 +300,10 @@ def _modular(
     stats.composed_cutsets = len(composed)
     # The composition of minimal context cutsets with minimal module
     # families is minimal for disjoint modules (each composed set
-    # uniquely determines its context cutset and module selections), so
-    # `minimal=False` only re-checks what the theorem guarantees — cheap
-    # insurance against a bad module report.
-    result = MocusResult.from_family(
-        composed, tree, options.cutoff, minimal=False
-    )
+    # uniquely determines its context cutset and module selections), and
+    # the overlap check above refused any report that is not disjoint,
+    # so the family goes in without a second minimisation.
+    result = MocusResult.from_family(composed, tree, options.cutoff)
     return result, stats
 
 

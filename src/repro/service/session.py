@@ -17,8 +17,10 @@ families, the fingerprint-keyed solve store).  The lifecycle:
 
 ``reanalyze()``
     Re-run the analysis reusing everything whose content fingerprint
-    is unchanged: module cutset families are compiled once per module
-    structure and recomposed under the new probabilities
+    is unchanged: only chains whose content changed get a new
+    worst-case solve (the previous run's worst cases are carried by
+    chain fingerprint), module cutset families are compiled once per
+    module structure and recomposed under the new probabilities
     (:mod:`repro.service.incremental`), and only cutsets whose ``FT_C``
     model signature changed are re-solved (the previous solve store is
     primed into the quantification cache).  ``crosscheck=True``
@@ -51,6 +53,7 @@ from repro.core.quantify import McsQuantification
 from repro.core.results import AnalysisResult
 from repro.core.sdft import SdFaultTree
 from repro.core.to_static import to_static
+from repro.core.worst_case import by_fingerprint
 from repro.errors import CrosscheckError, ServiceError
 from repro.ft.mocus import MocusOptions, MocusResult
 from repro.robust.checkpoint import model_fingerprint
@@ -145,6 +148,9 @@ class _RunArtifacts:
     #: The SD model those records quantified (the record-validity base).
     sdft: SdFaultTree
     records: tuple[McsQuantification, ...]
+    #: Chain fingerprint -> worst-case probability of that model's
+    #: dynamic events (one entry per distinct chain, replaced each run).
+    worst_case: dict[str, float]
 
 
 class AnalysisSession:
@@ -241,8 +247,12 @@ class AnalysisSession:
         reuse = AnalysisReuse(solves=self._primed_solves())
         mode = "full"
         if reuse_applies(opts):
-            translation = to_static(self.model, opts.horizon)
             previous = self._previous
+            translation = to_static(
+                self.model,
+                opts.horizon,
+                solved=previous.worst_case if previous else None,
+            )
             found = incremental_cutsets(
                 with_mocus_overrides(translation.tree, opts),
                 MocusOptions(
@@ -337,6 +347,12 @@ class AnalysisSession:
             solves.update(reuse.out_solves)
         tree = None
         family: tuple[tuple[str, ...], ...] = ()
+        translation = reuse.out_translation
+        worst_case = (
+            by_fingerprint(self.model, translation.worst_case)
+            if translation is not None
+            else {}
+        )
         mocus_result: MocusResult | None = reuse.out_mocus
         if (
             mocus_result is not None
@@ -344,18 +360,18 @@ class AnalysisSession:
             and not result.mcs_truncated
         ):
             family = mocus_result.full_cutsets
-            translation = reuse.out_translation
             if translation is not None:
                 tree = with_mocus_overrides(translation.tree, self.options)
         # Records do not accumulate across edits (unlike the solve
         # store): validity is decided against the one model the records
         # came from (:func:`reusable_records`), so only the latest
         # complete list is kept.
-        if tree is not None or solves or result.records:
+        if tree is not None or solves or result.records or worst_case:
             self._previous = _RunArtifacts(
                 tree=tree,
                 family=family,
                 solves=solves,
                 sdft=self.model,
                 records=result.records,
+                worst_case=worst_case,
             )

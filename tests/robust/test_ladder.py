@@ -21,7 +21,7 @@ from repro.errors import BudgetExceededError, NumericalError
 from repro.robust import faults
 from repro.robust.budget import Budget
 from repro.robust.ladder import quantify_with_ladder
-from tests.strategies import sd_fault_trees
+from tests.strategies import mixed_sd_fault_trees
 
 CUTSET = frozenset({"b", "d"})
 HORIZON = 24.0
@@ -115,7 +115,7 @@ def _contains(lower, value, upper):
 
 @pytest.mark.parametrize("degrade", ["transient_solve", "max_chain_states"])
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(sdft=sd_fault_trees())
+@given(sdft=mixed_sd_fault_trees())
 def test_degraded_records_bracket_the_exact_rung(degrade, sdft):
     """Every rung serves a provable bracket of the clean exact value.
 

@@ -25,7 +25,7 @@ from repro.robust.verify import (
     check_probability,
     resolve_mode,
 )
-from tests.strategies import sd_fault_trees
+from tests.strategies import mixed_sd_fault_trees
 
 HORIZON = 24.0
 
@@ -317,7 +317,7 @@ class TestAnalyzerVerify:
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(
-    sdft=sd_fault_trees(),
+    sdft=mixed_sd_fault_trees(),
     horizon=st.sampled_from([6.0, 24.0, 96.0]),
     cutoff=st.sampled_from([0.0, 1e-9]),
 )

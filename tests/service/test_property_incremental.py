@@ -12,13 +12,17 @@ same probability, method, interval, and per-record semantic fields.
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.analyzer import AnalysisOptions, analyze
+from repro.core.to_static import to_static
+from repro.ft.cutsets import minimize
+from repro.ft.mocus import MocusOptions
 from repro.service.edits import ScaleRates, SetProbability, apply_edits
+from repro.service.incremental import FamilyCache, incremental_cutsets
 from repro.service.session import AnalysisSession, assert_bit_identical
-from tests.strategies import sd_fault_trees
+from tests.strategies import mixed_sd_fault_trees, sd_fault_trees
 
 _EDITS = st.one_of(
     st.builds(
@@ -110,3 +114,73 @@ def test_raising_edit_on_random_models_bit_identical(case, cutoff, node_budget):
     warm = session.reanalyze()
     cold = analyze(apply_edits(model, [edit]), options)
     assert_bit_identical(warm, cold)
+
+
+@given(
+    model=sd_fault_trees(max_static=4, tree_shaped=True),
+    cutoff=st.sampled_from([0.0, 1e-15, 1e-4, 1e-3, 1e-2]),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_modular_composition_is_minimal(model, cutoff):
+    """The module theorem: composing minimal context cutsets with the
+    minimal families of disjoint modules gives a minimal family, so the
+    modular path serves its composition without re-minimising it."""
+    tree = to_static(model, 12.0).tree
+    found = incremental_cutsets(tree, MocusOptions(cutoff=cutoff), FamilyCache())
+    assume(found is not None)
+    result, stats = found
+    assert stats.mode == "modular"
+    composed = [frozenset(cutset) for cutset in result.full_cutsets]
+    assert len(set(composed)) == len(composed)
+    assert set(minimize(composed)) == set(composed)
+
+
+def _edit_of(model, draw):
+    """One edit of ``model`` and the edit that undoes it exactly.
+
+    Power-of-two rate factors undo bit-exactly, so the undo restores a
+    chain with the original content (and fingerprint); the factor 3
+    does not, so its undo leaves a chain that differs in the last bits.
+    """
+    static = sorted(model.static_events)
+    if static and draw(st.booleans()):
+        event = draw(st.sampled_from(static))
+        old = model.static_events[event].probability
+        new = draw(st.sampled_from([1e-4, 0.5 * old, min(3.0 * old, 0.9)]))
+        return SetProbability(event, new), SetProbability(event, old)
+    event = draw(st.sampled_from(sorted(model.dynamic_events)))
+    factor = draw(st.sampled_from([0.25, 0.5, 2.0, 3.0, 8.0]))
+    return ScaleRates(event, factor), ScaleRates(event, 1.0 / factor)
+
+
+@st.composite
+def _edit_sequences(draw):
+    """A model plus edit, its undo and a different edit, applied in order.
+
+    Half the models are tree-shaped, so their raising edits are served
+    by the modular path.
+    """
+    model = draw(mixed_sd_fault_trees(max_static=4))
+    first, undo = _edit_of(model, draw)
+    second, _ = _edit_of(model, draw)
+    assume(second != first)
+    return model, (first, undo, second)
+
+
+@given(
+    case=_edit_sequences(),
+    cutoff=st.sampled_from([0.0, 1e-15, 1e-4, 1e-2]),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_edit_undo_edit_sequence_bit_identical(case, cutoff):
+    """One session carries its worst cases, solve store and module
+    families across an edit, its undo and another edit; every result
+    equals a cold analysis of the model it answers for."""
+    model, edits = case
+    options = AnalysisOptions(horizon=12.0, cutoff=cutoff)
+    session = AnalysisSession(model, options)
+    session.analyze()
+    for edit in edits:
+        session.edit(edit)
+        warm = session.reanalyze()
+        assert_bit_identical(warm, analyze(session.model, options))

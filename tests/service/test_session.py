@@ -58,6 +58,38 @@ def test_reanalyze_is_bit_identical_to_cold(cooling_sdft, options, edit):
     assert_bit_identical(warm, cold)
 
 
+def test_reanalyze_solves_only_changed_worst_cases(options, monkeypatch):
+    """The previous run's worst cases are carried by chain fingerprint:
+    a static-probability edit solves no chain, a rate edit solves one."""
+    from repro.core import worst_case
+    from repro.models.bwr import build_bwr
+
+    solved = []
+    original = worst_case.worst_case_probability
+
+    def counted(chain, horizon, epsilon=1e-12):
+        solved.append(chain.fingerprint())
+        return original(chain, horizon, epsilon)
+
+    monkeypatch.setattr(worst_case, "worst_case_probability", counted)
+    model = build_bwr()
+    session = AnalysisSession(model, options)
+    session.analyze()
+    assert 0 < len(solved) <= len(model.dynamic_events)
+
+    static = sorted(model.static_events)[0]
+    solved.clear()
+    session.edit(
+        SetProbability(static, model.static_events[static].probability / 2)
+    )
+    session.reanalyze()
+    assert solved == []
+
+    session.edit(ScaleRates(sorted(model.dynamic_events)[0], 2.0))
+    session.reanalyze()
+    assert len(solved) == 1
+
+
 def test_record_reuse_skips_clean_cutsets(cooling_sdft, options):
     session = AnalysisSession(cooling_sdft, options)
     base = session.analyze()

@@ -190,6 +190,17 @@ def sd_fault_trees(
     return b.build(gate_names[-1])
 
 
+def mixed_sd_fault_trees(**kwargs):
+    """:func:`sd_fault_trees` of either shape, half of them tree-shaped.
+
+    Tree-shaped draws have modules below the top, so a property that
+    draws from here also sees module-decomposable trees.
+    """
+    return st.booleans().flatmap(
+        lambda shaped: sd_fault_trees(tree_shaped=shaped, **kwargs)
+    )
+
+
 @st.composite
 def small_ctmcs(draw, max_states: int = 5, max_rate: float = 2.0):
     """A random small CTMC with at least one failed state."""
