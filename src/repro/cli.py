@@ -115,13 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="resume from the --checkpoint file if it exists",
     )
     analyze_cmd.add_argument(
-        "--lint",
-        action="store_true",
-        help="run the model linter first: error-level diagnostics reject "
-        "the model before any analysis work; warnings ride on the "
-        "run summary",
-    )
-    analyze_cmd.add_argument(
         "--verify",
         choices=("off", "cheap", "full"),
         default="off",
@@ -160,13 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="node-table cap per BDD compilation scope (default 200000); "
         "exceeding it falls back to cutset quantification cleanly",
-    )
-    analyze_cmd.add_argument(
-        "--simplify",
-        action="store_true",
-        help="run the BDD-verified rewrite engine first and analyse the "
-        "smaller equivalent model; unverifiable rewrites are discarded, "
-        "so this never changes the answer",
     )
     _add_observability_arguments(analyze_cmd)
     analyze_cmd.set_defaults(handler=_cmd_analyze)
@@ -485,8 +471,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     options = AnalysisOptions(
         horizon=args.horizon,
         cutoff=args.cutoff,
-        lint=getattr(args, "lint", False),
-        simplify=getattr(args, "simplify", False),
         fault_isolation=args.degrade,
         wall_seconds=args.wall_seconds,
         max_total_states=args.max_total_states,

@@ -55,7 +55,6 @@ if TYPE_CHECKING:
     from repro.core.cutset_model import CutsetModel
     from repro.core.to_static import StaticTranslation
     from repro.ft.tree import FaultTree
-    from repro.lint.engine import LintReport
     from repro.perf.cache import SolveCache
     from repro.perf.pool import SolveResult, SolverFarm
     from repro.robust.checkpoint import CheckpointManager
@@ -82,7 +81,13 @@ class AnalysisOptions:
     oversized chain fails the run, or under ``fault_isolation`` is
     answered by the interval approximation of the paper's Section VIII
     (the cutset contributes its conservative upper bound and the result
-    reports the interval).
+    reports the interval).  Every knob is range-checked on construction:
+    a ``cutoff`` of 1 or more would empty every cutset list and serve a
+    clean-looking zero, and a NaN deadline would never expire.
+
+    The model is analysed as given.  Linting (:func:`repro.lint.lint`)
+    and the BDD-verified diet (:func:`repro.sem.simplify`) are tools a
+    caller runs first: ``analyze(simplify(model).model, options)``.
 
     Static quantification (:mod:`repro.bdd`): a *static* (trigger-free,
     no dynamic events) model's top probability is served exactly by
@@ -170,28 +175,6 @@ class AnalysisOptions:
       or degraded.  Hit/miss counts ride on the health report and the
       ``cache.*`` metrics.
 
-    Pre-flight linting (:mod:`repro.lint`):
-
-    * ``lint`` — run the static model linter before the pipeline.  A
-      model with error-level diagnostics (e.g. a top gate that can
-      never fail, or a cutoff guaranteed to empty the cutset list) is
-      rejected with :class:`~repro.errors.LintError` *before* any
-      translation, MOCUS or quantification work happens; warnings and
-      infos ride on :attr:`~repro.core.results.AnalysisResult.lint`,
-      appear in the run summary, and are noted in the run-health
-      report.  The lint pass gets its own ``lint`` span in the trace.
-
-    Semantic simplification (:mod:`repro.sem`):
-
-    * ``simplify`` — run the BDD-verified rewrite engine over the model
-      before translation and analyse the smaller equivalent model.
-      Every applied rewrite round is proven equivalent (top scope and
-      all trigger-gate scopes) within ``bdd_node_budget`` BDD nodes;
-      rounds the proof cannot afford are reverted, so the option can
-      shrink the work but never change the answer.  The stage gets its
-      own ``simplify`` span, ``sem.*`` metrics, and a health note with
-      the gate/event reduction.
-
     Observability (:mod:`repro.obs`):
 
     * ``trace_path`` — write a JSONL trace of the run (phase and
@@ -212,8 +195,6 @@ class AnalysisOptions:
     horizon: float = 24.0
     cutoff: float = 1e-15
     epsilon: float = 1e-12
-    lint: bool = False
-    simplify: bool = False
     max_chain_states: int = 200_000
     max_partials: int = 20_000_000
     mocus_probability_overrides: "dict[str, float] | None" = None
@@ -241,8 +222,32 @@ class AnalysisOptions:
         check_horizon(self.horizon)
         timeout = self.pool_task_timeout_seconds
         ranges = (
-            ("cutoff", self.cutoff >= 0.0, ">= 0"),
+            ("cutoff", 0.0 <= self.cutoff < 1.0, "in [0, 1)"),
             ("epsilon", 0.0 < self.epsilon < 1.0, "in (0, 1)"),
+            ("max_chain_states", self.max_chain_states >= 1, ">= 1"),
+            ("max_partials", self.max_partials >= 1, ">= 1"),
+            ("bdd_node_budget", self.bdd_node_budget >= 1, ">= 1"),
+            (
+                "wall_seconds",
+                self.wall_seconds is None
+                or 0.0 <= self.wall_seconds < math.inf,
+                "finite and >= 0, or None",
+            ),
+            (
+                "max_total_states",
+                self.max_total_states is None or self.max_total_states >= 0,
+                ">= 0 or None",
+            ),
+            (
+                "budget_cutsets",
+                self.budget_cutsets is None or self.budget_cutsets >= 0,
+                ">= 0 or None",
+            ),
+            (
+                "checkpoint_interval_seconds",
+                0.0 <= self.checkpoint_interval_seconds < math.inf,
+                "finite and >= 0",
+            ),
             (
                 "pool_task_timeout_seconds",
                 timeout is None or timeout > 0.0,
@@ -311,12 +316,11 @@ class AnalysisReuse:
 def reuse_applies(opts: AnalysisOptions) -> bool:
     """Whether a run under ``opts`` may take caller-built artifacts.
 
-    Simplification rewrites the model between the caller's view and the
-    pipeline's, so an injected translation, cutset list or record would
-    target the wrong tree; checkpoint and resume frames own the cutset
-    list.  (A solve store is content-addressed and always applies.)
+    Checkpoint and resume frames own the cutset list, so an injected
+    translation, cutset list or record would bypass them.  (A solve
+    store is content-addressed and always applies.)
     """
-    return not opts.simplify and not opts.resume and opts.checkpoint_path is None
+    return not opts.resume and opts.checkpoint_path is None
 
 
 def derived_run_options(opts: AnalysisOptions) -> AnalysisOptions:
@@ -427,8 +431,6 @@ def analyze(
     artifacts), but never changes any computed value.
     """
     run = _Run.start(as_sdft(sdft), options or AnalysisOptions(), reuse)
-    _preflight_lint(run)
-    _simplify_stage(run)
     _open_stores(run)
     with run.obs.tracer.span(
         "analyze",
@@ -475,7 +477,6 @@ class _Run:
     armed: bool = False
     #: A decoded records-layer payload that answers this run.
     stored: "dict | None" = None
-    lint: "LintReport | None" = None
     translation: "StaticTranslation | None" = None
     mocus_tree: "FaultTree | None" = None
     mocus: "MocusResult | None" = None
@@ -530,9 +531,8 @@ class _Run:
 def _open_stores(run: _Run) -> None:
     """Open the checkpoint (with its resume payload) and the disk cache.
 
-    Runs after simplification, so both fingerprint the model actually
-    analysed.  The records-layer lookup happens here too: a hit decides
-    whether the translate stage has any work to do.
+    The records-layer lookup happens here too: a hit decides whether
+    the translate stage has any work to do.
     """
     from repro.robust.checkpoint import CheckpointManager, model_fingerprint
 
@@ -631,111 +631,12 @@ def _records_options_key(opts: AnalysisOptions) -> tuple:
         overrides,
         opts.fault_isolation,
         opts.bdd_node_budget,
-        opts.simplify,
     )
 
 
 # ----------------------------------------------------------------------
 # Stages, in pipeline order
 # ----------------------------------------------------------------------
-
-
-def _preflight_lint(run: _Run) -> None:
-    """Run the model linter before the pipeline (``opts.lint``).
-
-    Error-level findings reject the model with
-    :class:`~repro.errors.LintError` before translate/MOCUS/quantify do
-    any work — the trace (when requested) is still written, containing
-    the ``lint`` span and *no* phase spans.  Warnings become run-health
-    notes and the report rides on the result.
-    """
-    opts, obs, sdft = run.opts, run.obs, run.sdft
-    if not opts.lint:
-        return
-    from repro.errors import LintError
-    from repro.lint import LintConfig
-    from repro.lint import lint as run_lint
-
-    with obs.tracer.span(
-        "lint", model=getattr(sdft, "name", None) or ""
-    ) as lint_span:
-        report = run_lint(
-            sdft, LintConfig(horizon=opts.horizon, cutoff=opts.cutoff)
-        )
-        counts = report.counts()
-        lint_span.set(
-            errors=counts["error"],
-            warnings=counts["warning"],
-            infos=counts["info"],
-        )
-    for finding in report.warnings:
-        run.health.info(
-            "lint", f"{finding.code} {finding.node}: {finding.message}"
-        )
-    if report.has_errors:
-        if opts.trace_path:
-            _write_trace(run, rejected_by_lint=True)
-        details = "; ".join(
-            f"{d.code} {d.node}: {d.message}" for d in report.errors
-        )
-        raise LintError(
-            f"model rejected by lint with {len(report.errors)} error-level "
-            f"diagnostic(s): {details}",
-            report=report,
-        )
-    run.lint = report
-
-
-def _simplify_stage(run: _Run) -> None:
-    """Shrink the model through the verified rewrite engine (``opts.simplify``).
-
-    Runs after the pre-flight lint (findings should name the user's
-    nodes, not the dieted survivors) and before the checkpoint opens, so
-    checkpoints and the solve cache fingerprint the model actually
-    analysed.  Soundness rests on :func:`repro.sem.simplify`'s per-round
-    BDD proofs: an unverifiable round is reverted inside the engine, so
-    whatever comes back is equivalent to the input on the top scope and
-    every trigger-gate scope.
-    """
-    if not run.opts.simplify:
-        return
-    from repro.sem import simplify as run_simplify
-
-    obs, health = run.obs, run.health
-    with obs.tracer.span(
-        "simplify", model=getattr(run.sdft, "name", None) or ""
-    ) as span:
-        result = run_simplify(run.sdft, node_budget=run.opts.bdd_node_budget)
-        span.set(
-            rewrites=len(result.rewrites),
-            gates_before=result.gates_before,
-            gates_after=result.gates_after,
-            verified_scopes=result.verified_scopes,
-            budget_hit=result.budget_hit,
-        )
-    if obs.enabled:
-        obs.metrics.count("sem.rewrites", len(result.rewrites))
-        obs.metrics.count("sem.removed_gates", result.removed_gates)
-        obs.metrics.count("sem.removed_events", result.removed_events)
-        obs.metrics.count("sem.verified_scopes", result.verified_scopes)
-        if result.budget_hit:
-            obs.metrics.count("sem.budget_trips")
-    if result.changed:
-        health.info(
-            "simplify",
-            f"verified diet: {result.gates_before} -> {result.gates_after} "
-            f"gates, {result.events_before} -> {result.events_after} events "
-            f"({len(result.rewrites)} rewrites, {result.verified_scopes} "
-            f"scopes BDD-verified)",
-        )
-    if result.budget_hit:
-        health.info(
-            "simplify",
-            "BDD node budget tripped during verification; unverified "
-            "rewrites were discarded",
-        )
-    assert isinstance(result.model, SdFaultTree)
-    run.sdft = result.model
 
 
 def _translate(run: _Run) -> None:
@@ -940,7 +841,8 @@ def _serve(run: _Run) -> None:
     """The served top probability, its method label and the static bound."""
     started = time.perf_counter()
     run.record_sum = sum(
-        r.probability for r in run.records if r.probability > run.opts.cutoff
+        (r.probability for r in run.records if r.probability > run.opts.cutoff),
+        0.0,
     )
     run.total, run.method, run.bdd_info = _select_served_total(run)
     if run.stored is not None:
@@ -1173,7 +1075,19 @@ def _finish(run: _Run) -> AnalysisResult:
         obs.metrics.count("quantify.dedup_hits", cache.hits)
         obs.metrics.count("quantify.dedup_misses", cache.misses)
     if opts.trace_path:
-        n_lines = _write_trace(run, jobs=str(opts.jobs))
+        from repro.obs.export import write_trace
+
+        n_lines = write_trace(
+            opts.trace_path,
+            obs.tracer.records(),
+            obs.metrics.snapshot() if obs.enabled else None,
+            attrs={
+                "model": getattr(run.sdft, "name", None) or "",
+                "horizon": opts.horizon,
+                "cutoff": opts.cutoff,
+                "jobs": str(opts.jobs),
+            },
+        )
         health.info(
             "obs", f"trace written to {opts.trace_path} ({n_lines} lines)"
         )
@@ -1196,30 +1110,11 @@ def _finish(run: _Run) -> AnalysisResult:
         mcs_remainder_bound=run.remainder,
         perf=run.perf,
         metrics=obs.metrics.snapshot() if obs.enabled else None,
-        lint=run.lint,
         method=run.method,
         rare_event_sum=run.record_sum,
         bdd_nodes=int(run.bdd_info.get("nodes", 0)),
         bdd_ordering=str(run.bdd_info.get("ordering", "")),
         bdd_modules=int(run.bdd_info.get("modules", 0)),
-    )
-
-
-def _write_trace(run: _Run, **attrs: object) -> int:
-    """Write the run's trace and metric snapshot to ``opts.trace_path``."""
-    from repro.obs.export import write_trace
-
-    opts, obs = run.opts, run.obs
-    return write_trace(
-        opts.trace_path,
-        obs.tracer.records(),
-        obs.metrics.snapshot() if obs.enabled else None,
-        attrs={
-            "model": getattr(run.sdft, "name", None) or "",
-            "horizon": opts.horizon,
-            "cutoff": opts.cutoff,
-            **attrs,
-        },
     )
 
 

@@ -9,14 +9,10 @@ events per cutset (Figure 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.classify import ClassificationReport
 from repro.core.quantify import McsQuantification
 from repro.robust.health import HealthReport
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (keeps imports light)
-    from repro.lint.engine import LintReport
 
 __all__ = ["METHODS", "PerfStats", "Timings", "AnalysisResult", "served_interval"]
 
@@ -164,10 +160,6 @@ class AnalysisResult:
     #: Metrics snapshot of the run (``repro.obs``), present only when
     #: the analysis collected metrics; never influences the values above.
     metrics: "dict | None" = None
-    #: The pre-flight lint report, present only when the analysis ran
-    #: with ``AnalysisOptions(lint=True)``; a model with error-level
-    #: findings never reaches this container (``LintError`` is raised).
-    lint: "LintReport | None" = None
     #: Error model of :attr:`failure_probability` (:data:`METHODS`).
     method: str = "mcs-rare-event"
     #: Raw rare-event sum over the served records — equals
@@ -319,8 +311,6 @@ class AnalysisResult:
                 f"estimator: min-cut upper bound served (rare-event sum "
                 f"{raw_sum:.3e} overshoots 1.0)"
             )
-        if self.lint is not None and self.lint.diagnostics:
-            lines.append(f"lint: {self.lint.summary_line()}")
         if self.mcs_truncated:
             lines.append(
                 f"cutset list TRUNCATED by budget; un-enumerated mass "

@@ -8,6 +8,10 @@ distinguish the three broad phases in which things can go wrong:
 * running an algorithm on a structurally valid model
   (:class:`AnalysisError`), and
 * numerical trouble inside a solver (:class:`NumericalError`).
+
+Model lint findings are not exceptions: :func:`repro.lint.lint` returns
+them as a report, and ``sdft lint`` exits 1 on error-level findings, so
+a caller gates an analysis by composing the two.
 """
 
 from __future__ import annotations
@@ -47,21 +51,6 @@ class TriggerError(ModelError):
     Raised for untriggerable chains (a triggered event whose CTMC has no
     on/off structure), multiply-triggered events, or cyclic triggering.
     """
-
-
-class LintError(ModelError):
-    """The model linter rejected a model with error-level diagnostics.
-
-    Raised by :func:`repro.core.analyzer.analyze` when
-    ``AnalysisOptions(lint=True)`` finds error-level diagnostics before
-    the pipeline runs.  ``report`` carries the full
-    :class:`~repro.lint.engine.LintReport` so callers can render every
-    finding, not just the message.
-    """
-
-    def __init__(self, message: str, report=None) -> None:
-        super().__init__(message)
-        self.report = report
 
 
 class AnalysisError(ReproError):

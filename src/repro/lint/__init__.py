@@ -16,15 +16,16 @@ analysis* and reports model smells as stable diagnostic codes:
 
 The one entry point is :func:`lint`::
 
+    from repro import AnalysisOptions, analyze
     from repro.lint import lint, LintConfig
 
     report = lint(model, LintConfig(horizon=24.0, cutoff=1e-15))
-    if report.has_errors:
-        ...
+    if not report.has_errors:
+        result = analyze(model, AnalysisOptions(horizon=24.0, cutoff=1e-15))
 
-The same engine backs ``sdft lint`` and the analyzer's fail-fast gate
-(:class:`~repro.core.analyzer.AnalysisOptions` ``lint=True``).  See
-``docs/linting.md`` for the full code catalogue.
+The same engine backs ``sdft lint``, which exits 1 on error-level
+findings, so ``sdft lint MODEL && sdft analyze MODEL`` is the shell
+form of that gate.  See ``docs/linting.md`` for the full code catalogue.
 """
 
 from repro.lint.config import LintConfig

@@ -41,8 +41,9 @@ class LintConfig:
 
     ``horizon`` and ``cutoff`` mirror the analysis that will follow so
     the probabilistic rules judge the model against the run it is about
-    to get (``sdft lint --horizon --cutoff`` and
-    :class:`~repro.core.analyzer.AnalysisOptions` feed them through).
+    to get (``sdft lint --horizon --cutoff`` feeds them through; a
+    library caller copies them from its
+    :class:`~repro.core.analyzer.AnalysisOptions`).
 
     ``disabled`` names codes to skip; ``severity_overrides`` maps codes
     to replacement severities (e.g. promote ``SD201`` to an error for a

@@ -1,7 +1,6 @@
 """The lint driver: run every enabled rule over one shared context.
 
-:func:`lint` is the programmatic entry point (``sdft lint`` and
-:class:`~repro.core.analyzer.AnalysisOptions.lint` both call it).  The
+:func:`lint` is the programmatic entry point (``sdft lint`` calls it).  The
 result is a :class:`LintReport` — an immutable, sorted collection of
 diagnostics with rendering helpers for the CLI's text and JSON formats.
 """

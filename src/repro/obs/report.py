@@ -125,15 +125,6 @@ def metric_highlights(snapshot: dict | None) -> list[str]:
     histograms = snapshot.get("histograms", {})
     lines: list[str] = []
 
-    rewrites = counters.get("sem.rewrites")
-    if rewrites is not None:
-        lines.append(
-            f"sem: {rewrites:g} verified rewrites "
-            f"(-{counters.get('sem.removed_gates', 0):g} gates, "
-            f"-{counters.get('sem.removed_events', 0):g} events, "
-            f"{counters.get('sem.verified_scopes', 0):g} scopes proved, "
-            f"{counters.get('sem.budget_trips', 0):g} budget trips)"
-        )
     expanded = counters.get("mocus.partials_expanded")
     if expanded is not None:
         lines.append(

@@ -60,7 +60,8 @@ class Budget:
         clock: Callable[[], float] = time.monotonic,
         metrics: MetricsRegistry | NullMetrics | None = None,
     ) -> None:
-        if wall_seconds is not None and wall_seconds < 0.0:
+        if wall_seconds is not None and not wall_seconds >= 0.0:
+            # ``not >=`` also rejects NaN, which would never expire.
             raise ValueError(f"wall_seconds must be non-negative, got {wall_seconds}")
         self.wall_seconds = wall_seconds
         self.max_total_states = max_total_states

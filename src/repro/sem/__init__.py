@@ -15,9 +15,9 @@ package judges it by its *meaning*:
   rewrite engine whose every pass is verified by BDD equivalence on the
   touched scopes before it is accepted.
 
-Surfaced as the SD5xx lint family, the ``sdft simplify`` subcommand,
-and the analyzer's ``AnalysisOptions(simplify=True)`` preprocessing
-stage.
+Surfaced as the SD5xx lint family and the ``sdft simplify`` subcommand.
+The diet is a model transformation, not an analysis option: analyse
+the smaller equivalent model with ``analyze(simplify(model).model)``.
 """
 
 from repro.sem.bounds import BoundsReport, Interval, interval_bounds

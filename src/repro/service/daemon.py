@@ -40,6 +40,7 @@ a crash between journal write and cache commit.
 from __future__ import annotations
 
 import json
+import math
 import os
 import queue
 import signal
@@ -232,8 +233,7 @@ class ServiceDaemon:
 
     def _do_analysis(self, request: dict, op: str) -> dict:
         session_id = str(request.get("session", ""))
-        deadline = request.get("deadline_seconds")
-        deadline = None if deadline is None else float(deadline)
+        deadline = _deadline_seconds(request)
         crosscheck = bool(request.get("crosscheck", False))
         notes: list[str] = []
         pool_allowed = self.breaker.allows_pool()
@@ -433,6 +433,26 @@ class ServiceDaemon:
             return
         self._kill_fired = True
         os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _deadline_seconds(request: dict) -> float | None:
+    """The request's ``deadline_seconds``: ``None`` or a finite number >= 0.
+
+    A bad value is the client's error, not an unbounded run: NaN would
+    never expire.
+    """
+    raw = request.get("deadline_seconds")
+    if raw is None:
+        return None
+    try:
+        deadline = float(raw)
+    except (TypeError, ValueError):
+        deadline = math.nan
+    if not 0.0 <= deadline < math.inf:
+        raise ServiceError(
+            f"deadline_seconds must be a finite number >= 0, got {raw!r}"
+        )
+    return deadline
 
 
 def _error(kind: str, message: str) -> dict:

@@ -100,6 +100,20 @@ class TestPlainFaultTree:
         assert result.n_dynamic_cutsets == 0
 
 
+class TestVacuousModel:
+    def test_vacuous_model_serves_float_zero(self):
+        """A top gate that can never fail (lint's SD107) still analyzes:
+        an empty cutset list, served as the float ``0.0`` (a served
+        ``0`` int would leak into JSON answers as ``0``)."""
+        b = SdFaultTreeBuilder("vacuous")
+        b.static_event("a", 0.0)
+        b.static_event("b", 0.01)
+        b.and_("top", "a", "b")
+        result = analyze(b.build("top"), AnalysisOptions())
+        assert result.failure_probability == 0.0
+        assert isinstance(result.failure_probability, float)
+
+
 class TestStaticCutoffOverrides:
     def test_overrides_restore_cut_cutsets(self, cooling_sdft):
         """With a cutoff that would drop the dynamic cutsets under their

@@ -6,8 +6,8 @@ Two invariants:
   never-fail analysis is pure graph reachability and every transient
   solve is guarded;
 * a tree the linter has nothing to say about analyzes without a
-  :class:`~repro.errors.ModelError` (the gate never rejects a clean
-  model).
+  :class:`~repro.errors.ModelError` (``lint`` then ``analyze`` never
+  stops a clean model).
 """
 
 from hypothesis import given, settings
@@ -46,15 +46,16 @@ class TestCleanTreesAnalyze:
     @settings(max_examples=25)
     @given(tree=sd_fault_trees(max_static=2, max_dynamic=3, max_gates=4))
     def test_diagnostic_free_tree_analyzes(self, tree):
-        report = lint(tree)
+        options = AnalysisOptions(cutoff=1e-12)
+        report = lint(
+            tree, LintConfig(horizon=options.horizon, cutoff=options.cutoff)
+        )
         if report.diagnostics:
             return  # the property only constrains diagnostic-free trees
         try:
-            result = analyze(tree, AnalysisOptions(lint=True, cutoff=1e-12))
+            result = analyze(tree, options)
         except ModelError as error:  # pragma: no cover - the failure mode
             raise AssertionError(
                 f"clean model rejected by analysis: {error}"
             ) from error
         assert result.failure_probability >= 0.0
-        assert result.lint is not None
-        assert not result.lint.diagnostics

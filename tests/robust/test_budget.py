@@ -59,6 +59,12 @@ class TestDeadline:
         with pytest.raises(ValueError):
             Budget(wall_seconds=-1.0)
 
+    def test_nan_deadline_rejected(self):
+        # A NaN deadline compares false against every clock reading,
+        # so it would never expire.
+        with pytest.raises(ValueError):
+            Budget(wall_seconds=float("nan"))
+
 
 class TestStateBudget:
     def test_accumulates_until_cap(self):

@@ -213,6 +213,50 @@ class TestSdProtections:
         assert "wrap" not in result.model.gates
 
 
+def _fat_sdft():
+    """An SD model with wrapper gates the verified diet removes."""
+    from repro.ctmc.builders import repairable
+
+    b = SdFaultTreeBuilder("fat-sd")
+    b.static_event("a", 3e-3).static_event("c", 3e-3)
+    b.dynamic_event("b", repairable(0.001, 0.05))
+    b.dynamic_event("d", triggered_repairable(0.001, 0.05))
+    b.or_("pump1", "a", "b").or_("pump2", "c", "d")
+    b.and_("pumps", "pump1", "pump2")
+    b.or_("wrap", "pumps")
+    b.or_("top", "wrap")
+    b.trigger("pump1", "d")
+    return b.build("top")
+
+
+class TestAnalysisComposition:
+    """The diet is a model transformation: ``analyze(simplify(m).model)``."""
+
+    def test_answer_is_unchanged(self):
+        from repro.core.analyzer import AnalysisOptions, analyze
+        from repro.service.session import assert_bit_identical
+
+        fat = _fat_sdft()
+        result = simplify(fat)
+        assert result.changed
+        assert_bit_identical(
+            analyze(result.model, AnalysisOptions()),
+            analyze(fat, AnalysisOptions()),
+        )
+
+    def test_lint_reads_the_user_model(self):
+        """Lint the model the user wrote, then analyse the dieted one:
+        the findings name the wrapper gates the analysis never sees."""
+        from repro.core.analyzer import AnalysisOptions, analyze
+        from repro.lint import lint
+
+        fat = _fat_sdft()
+        dieted = simplify(fat).model
+        assert "wrap" in {d.node for d in lint(fat).diagnostics}
+        assert "wrap" not in {d.node for d in lint(dieted).diagnostics}
+        assert analyze(dieted, AnalysisOptions()).failure_probability > 0.0
+
+
 class TestAcceptanceBwr:
     def test_bwr_diet_is_measurable_and_verified(self):
         from repro.models.bwr import build_bwr

@@ -115,6 +115,27 @@ def test_deadline_expiry_returns_partial_not_error(daemon, payload):
     assert daemon.counters["deadline_partials"] == 1
 
 
+@pytest.mark.parametrize("deadline", [-1, float("nan"), float("inf"), "soon"])
+def test_invalid_deadline_is_a_client_error(daemon, payload, deadline):
+    session = _load(daemon, payload)
+    response = daemon.handle_request(
+        {"op": "analyze", "session": session, "deadline_seconds": deadline}
+    )
+    assert not response["ok"]
+    assert response["error"]["kind"] == "service-error"
+    assert "deadline_seconds" in response["error"]["message"]
+
+
+def test_zero_deadline_serves_a_float_probability(daemon, payload):
+    session = _load(daemon, payload)
+    response = daemon.handle_request(
+        {"op": "analyze", "session": session, "deadline_seconds": 0}
+    )
+    assert response["ok"] and response["deadline_expired"]
+    assert isinstance(response["probability"], float)
+    assert json.dumps(response["probability"]) == "0.0"
+
+
 def test_open_breaker_forces_serial_with_note(options, payload):
     breaker = CircuitBreaker(failure_threshold=1, cooldown_requests=3)
     daemon = ServiceDaemon(options, breaker=breaker)

@@ -203,14 +203,15 @@ class TestSimplify:
         assert payload["gates_after"] < payload["gates_before"]
         assert payload["budget_hit"] is False
 
-    def test_analyze_simplify_flag_preserves_the_answer(
-        self, sd_model_file, capsys
+    def test_analyze_of_simplified_output_preserves_the_answer(
+        self, fat_model_file, tmp_path, capsys
     ):
-        assert main(["analyze", sd_model_file, "--no-cache"]) == 0
+        assert main(["analyze", fat_model_file, "--no-cache"]) == 0
         plain = capsys.readouterr().out.splitlines()[0]
-        assert (
-            main(["analyze", sd_model_file, "--no-cache", "--simplify"]) == 0
-        )
+        target = tmp_path / "small.json"
+        assert main(["simplify", fat_model_file, "--output", str(target)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(target), "--no-cache"]) == 0
         simplified = capsys.readouterr().out.splitlines()[0]
         assert plain == simplified
 

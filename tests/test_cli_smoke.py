@@ -159,20 +159,6 @@ class TestLintSmoke:
         assert main(["lint", sd_model_file, "--severity", "SD201"]) == 2
         assert main(["lint", sd_model_file, "--severity", "SD201=fatal"]) == 2
 
-    def test_analyze_lint_gate_rejects_error_model(self, tmp_path, capsys):
-        from repro.ft.builder import FaultTreeBuilder
-
-        b = FaultTreeBuilder("vacuous")
-        b.event("a", 0.0).event("b", 1e-3)
-        b.and_("top", "a", "b")
-        path = tmp_path / "vacuous.json"
-        save_model(b.build("top"), path)
-        assert main(["analyze", str(path), "--lint"]) == 1
-        err = capsys.readouterr().err
-        assert "SD107" in err
-        # Without the gate the same model analyzes (to zero).
-        assert main(["analyze", str(path)]) == 0
-
 
 class TestVerifySmoke:
     def test_analyze_with_verify_cheap(self, sd_model_file, capsys):
